@@ -11,7 +11,9 @@
 //	                     HTTP server (the high-performance path)
 //
 // A Store owns buckets created locally. Opening a URL resolves mem and
-// file buckets locally and fetches http buckets over the network.
+// file buckets locally and fetches http buckets over the network. A
+// store that serves over http keeps each bucket of up to
+// MemBucketBytes in memory and writes only larger ones as files.
 package bucket
 
 import (
@@ -72,6 +74,17 @@ var (
 	storeSeq   int
 )
 
+// MemBucketBytes is the largest encoded bucket a serving store (one
+// with a baseURL) keeps in memory. It is one kvio buffer
+// (kvio.DefaultBlockSize, 64 KiB), so a bucket that fits is never
+// flushed before Close; the write that would cross it moves the bucket
+// to a temp file and streams the rest.
+const MemBucketBytes = kvio.DefaultBlockSize
+
+// MemStoreCap bounds the bytes one serving store holds in memory. A
+// bucket that would push the store past it is written to disk instead.
+const MemStoreCap = 64 << 20
+
 // Store creates and resolves buckets.
 type Store struct {
 	id      int
@@ -79,14 +92,39 @@ type Store struct {
 	baseURL string // if non-empty, file buckets advertise baseURL/<name>
 
 	mu           sync.Mutex
-	mem          map[string][]byte  // record-stream payloads for mem buckets
-	client       *http.Client       // overrides the shared fetch client (fault injection)
-	compress     bool               // write new file buckets legacy flate-compressed
-	codec        wirecodec.Codec    // if set, write new file buckets block-framed with this codec
-	blockEnc     kvio.BlockEncoding // block kind + key encoding for new file buckets
-	blockSize    int                // target uncompressed bytes per block (0 = kvio default)
-	rowOnlyFetch bool               // test hook: fetch like a pre-columnar peer
-	metrics      *obs.Metrics       // wire-byte counters (nil-safe)
+	mem          map[string][]byte     // record-stream payloads for mem buckets
+	held         map[string]heldBucket // serving store: small buckets by flat name
+	heldBytes    int64                 // sum of held payload sizes
+	memCap       int64                 // bound on heldBytes (MemStoreCap)
+	spilled      bool                  // a serving-store bucket was ever written to disk
+	client       *http.Client          // overrides the shared fetch client (fault injection)
+	compress     bool                  // write new file buckets legacy flate-compressed
+	codec        wirecodec.Codec       // if set, write new file buckets block-framed with this codec
+	blockEnc     kvio.BlockEncoding    // block kind + key encoding for new file buckets
+	blockSize    int                   // target uncompressed bytes per block (0 = kvio default)
+	rowOnlyFetch bool                  // test hook: fetch like a pre-columnar peer
+	metrics      *obs.Metrics          // wire-byte counters (nil-safe)
+	memBytes     *obs.Counter          // held-bytes gauge (nil-safe)
+	memBuckets   *obs.Counter          // held-buckets gauge (nil-safe)
+	spills       *obs.Counter          // serving-store buckets written to disk
+}
+
+// heldBucket is a published bucket kept in a serving store's memory:
+// the exact bytes its file would hold, and the at-rest form (codec and
+// block kind) that file's suffix would name.
+type heldBucket struct {
+	data []byte
+	form atRest
+}
+
+// open returns a reader over the held bytes, undoing a legacy
+// whole-stream flate layer like OpenLocal does for a file.
+func (h heldBucket) open() io.ReadCloser {
+	rc := io.NopCloser(bytes.NewReader(h.data))
+	if h.form.legacyFlate {
+		return &drainReadCloser{r: deflateCodec().NewReader(rc), under: rc}
+	}
+	return rc
 }
 
 // NewMemStore returns a Store that keeps buckets in memory. Its
@@ -107,7 +145,12 @@ func NewFileStore(dir, baseURL string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("bucket: creating store dir: %w", err)
 	}
-	return &Store{dir: dir, baseURL: strings.TrimRight(baseURL, "/")}, nil
+	s := &Store{dir: dir, baseURL: strings.TrimRight(baseURL, "/")}
+	if s.baseURL != "" {
+		s.held = map[string]heldBucket{}
+		s.memCap = MemStoreCap
+	}
+	return s, nil
 }
 
 // Dir returns the store's directory ("" for memory stores).
@@ -223,11 +266,16 @@ func (s *Store) codecOn() (wirecodec.Codec, kvio.BlockEncoding, int) {
 }
 
 // SetMetrics wires the registry that receives the store's wire-byte
-// counters. A nil registry (the default) discards them.
+// and memory-tier metrics. A nil registry (the default) discards them.
+// The memory-tier gauges are additive, so stores sharing one registry
+// report their sum.
 func (s *Store) SetMetrics(m *obs.Metrics) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.metrics = m
-	s.mu.Unlock()
+	s.memBytes = m.Level(obs.MetricBucketMemBytes)
+	s.memBuckets = m.Level(obs.MetricBucketMemBuckets)
+	s.spills = m.Counter(obs.MetricBucketSpilled)
 }
 
 func (s *Store) compressOn() bool {
@@ -297,9 +345,6 @@ func fileEncodingName(path string) string {
 	return wirecodec.BlockKindRow
 }
 
-// InMemory reports whether this store keeps buckets in memory.
-func (s *Store) InMemory() bool { return s.dir == "" }
-
 // deflateCodec returns the registry's deflate codec, which owns the
 // pooled flate state the legacy ".fz" at-rest form is built on.
 func deflateCodec() wirecodec.Codec {
@@ -316,19 +361,65 @@ type Writer struct {
 	name  string
 	// memory path
 	buf *bytes.Buffer
-	// file path: records accumulate in tmp and are renamed to path on
-	// Close, so a bucket is only ever observed complete. Duplicate task
-	// attempts (reassignment races, lease requeues) then cannot expose
-	// a half-written file to a concurrent reader — last rename wins and
-	// both attempts produced identical content.
-	f    *os.File
-	tmp  string
-	path string
-	cw   io.WriteCloser // legacy compression layer between records and f, if on
+	// file and serving stores: the encoded stream goes to out, which
+	// either holds it in memory or writes a temp file that Close renames
+	// to form.path, so a bucket is only ever observed complete.
+	// Duplicate task attempts (reassignment races, lease requeues) then
+	// cannot expose a half-written bucket to a concurrent reader — the
+	// last Close wins and both attempts produced identical content.
+	out  spillWriter
+	form atRest
+	cw   io.WriteCloser // legacy compression layer between records and out, if on
 
 	w      *kvio.Writer      // legacy per-record framing
 	bw     *kvio.BlockWriter // block framing (when the store has a codec)
 	closed bool
+}
+
+// spillWriter is the byte sink under a bucket's encoder. It holds the
+// stream in buf until it would outgrow limit; the write that crosses
+// the limit creates the temp file, writes the held prefix, and from
+// then on streams to the file. A file store's writers have limit 0 and
+// their file from Create on.
+type spillWriter struct {
+	dir, pattern string
+	limit        int
+	buf          []byte
+	f            *os.File
+}
+
+func (sw *spillWriter) Write(p []byte) (int, error) {
+	if sw.f == nil {
+		if len(sw.buf)+len(p) <= sw.limit {
+			sw.buf = append(sw.buf, p...)
+			return len(p), nil
+		}
+		if err := sw.spill(); err != nil {
+			return 0, err
+		}
+	}
+	return sw.f.Write(p)
+}
+
+// spill moves the stream to a new temp file.
+func (sw *spillWriter) spill() error {
+	f, err := os.CreateTemp(sw.dir, sw.pattern)
+	if err != nil {
+		return err
+	}
+	sw.f = f
+	_, err = f.Write(sw.buf)
+	sw.buf = nil
+	return err
+}
+
+// abort discards the stream and any temp file.
+func (sw *spillWriter) abort() {
+	sw.buf = nil
+	if sw.f != nil {
+		sw.f.Close()
+		os.Remove(sw.f.Name())
+	}
 }
 
 // CreateOpts carries per-bucket overrides of the store's data-plane
@@ -383,25 +474,28 @@ func (s *Store) CreateOpts(name string, opts CreateOpts) (*Writer, error) {
 	if c == nil && enc.Columnar {
 		c = wirecodec.Identity()
 	}
-	path := filepath.Join(s.dir, flatten(name))
-	f, err := os.CreateTemp(s.dir, "."+flatten(name)+".tmp-*")
-	if err != nil {
-		return nil, fmt.Errorf("bucket: creating %s: %w", path, err)
+	flat := flatten(name)
+	w := &Writer{store: s, name: name, form: atRest{path: filepath.Join(s.dir, flat), blockCodec: c, columnar: enc.Columnar}}
+	w.out = spillWriter{dir: s.dir, pattern: "." + flat + ".tmp-*"}
+	if s.held != nil {
+		w.out.limit = MemBucketBytes
+	} else if err := w.out.spill(); err != nil {
+		return nil, fmt.Errorf("bucket: creating %s: %w", w.form.path, err)
 	}
-	w := &Writer{store: s, name: name, f: f, tmp: f.Name(), path: path}
 	if c != nil {
 		if enc.Columnar {
-			w.path += ColExt + c.Ext()
+			w.form.path += ColExt + c.Ext()
 		} else {
-			w.path += BlockExt + c.Ext()
+			w.form.path += BlockExt + c.Ext()
 		}
-		w.bw = kvio.NewBlockWriterEnc(f, c, blockSize, enc)
+		w.bw = kvio.NewBlockWriterEnc(&w.out, c, blockSize, enc)
 	} else if s.compressOn() {
-		w.path += CompressExt
-		w.cw = deflateCodec().NewWriter(f)
+		w.form.path += CompressExt
+		w.form.legacyFlate = true
+		w.cw = deflateCodec().NewWriter(&w.out)
 		w.w = kvio.NewWriter(w.cw)
 	} else {
-		w.w = kvio.NewWriter(f)
+		w.w = kvio.NewWriter(&w.out)
 	}
 	return w, nil
 }
@@ -458,10 +552,7 @@ func (w *Writer) Close() (Descriptor, error) {
 		}
 	}
 	if err != nil {
-		if w.f != nil {
-			w.f.Close()
-			os.Remove(w.tmp)
-		}
+		w.out.abort()
 		return Descriptor{}, err
 	}
 	s := w.store
@@ -472,22 +563,123 @@ func (w *Writer) Close() (Descriptor, error) {
 		d.URL = fmt.Sprintf("mem:%d/%s", s.id, w.name)
 		return d, nil
 	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.tmp)
+	if err := s.publish(w); err != nil {
 		return Descriptor{}, err
 	}
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		os.Remove(w.tmp)
-		return Descriptor{}, fmt.Errorf("bucket: publishing %s: %w", w.path, err)
-	}
 	if s.baseURL != "" {
-		// http URLs never carry the compression suffix: the data server
+		// http URLs never carry the at-rest suffix: the data server
 		// resolves the at-rest form and negotiates the wire encoding.
 		d.URL = s.baseURL + "/" + url.PathEscape(flatten(w.name))
 	} else {
-		d.URL = "file://" + w.path
+		d.URL = "file://" + w.form.path
 	}
 	return d, nil
+}
+
+// publish makes a closed writer's bucket visible: held in memory when
+// it never left its buffer and fits under the store's cap, otherwise
+// renamed from its temp file into place.
+func (s *Store) publish(w *Writer) error {
+	flat := flatten(w.name)
+	if w.out.f == nil && s.hold(flat, heldBucket{data: w.out.buf, form: w.form}) {
+		return nil
+	}
+	if s.held != nil {
+		s.mu.Lock()
+		s.spilled = true // set before the file exists; Remove relies on it
+		s.mu.Unlock()
+		s.spills.Add(1)
+	}
+	if w.out.f == nil {
+		if err := w.out.spill(); err != nil {
+			w.out.abort()
+			return fmt.Errorf("bucket: creating %s: %w", w.form.path, err)
+		}
+	}
+	tmp := w.out.f.Name()
+	if err := w.out.f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, w.form.path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("bucket: publishing %s: %w", w.form.path, err)
+	}
+	if s.held != nil {
+		// Last Close wins: a held copy from an earlier attempt would
+		// shadow the file.
+		s.mu.Lock()
+		s.unholdLocked(flat)
+		s.mu.Unlock()
+	}
+	return nil
+}
+
+// hold publishes a bucket into the memory tier unless that would push
+// the store past its cap, replacing any held copy of the same name;
+// it reports whether it did.
+func (s *Store) hold(flat string, hb heldBucket) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.held == nil {
+		return false
+	}
+	old, had := s.held[flat]
+	delta := int64(len(hb.data) - len(old.data))
+	if s.heldBytes+delta > s.memCap {
+		return false
+	}
+	s.held[flat] = hb
+	s.heldBytes += delta
+	s.memBytes.Add(delta)
+	if !had {
+		s.memBuckets.Add(1)
+	}
+	return true
+}
+
+// unholdLocked drops a held bucket, reporting whether one was held.
+func (s *Store) unholdLocked(flat string) bool {
+	hb, ok := s.held[flat]
+	if !ok {
+		return false
+	}
+	delete(s.held, flat)
+	s.heldBytes -= int64(len(hb.data))
+	s.memBytes.Add(-int64(len(hb.data)))
+	s.memBuckets.Add(-1)
+	return true
+}
+
+// lookupHeld returns the held bucket with the given flat name.
+func (s *Store) lookupHeld(flat string) (heldBucket, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hb, ok := s.held[flat]
+	return hb, ok
+}
+
+// Held reports how many buckets, and how many bytes, the store keeps
+// in memory (always 0 for stores without a baseURL).
+func (s *Store) Held() (buckets int, bytes int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.held), s.heldBytes
+}
+
+// HeldJob reports how many buckets of one job's namespace the store
+// keeps in memory.
+func (s *Store) HeldJob(job int64) int {
+	prefix := flatten(fmt.Sprintf("j%d/", job))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for flat := range s.held {
+		if strings.HasPrefix(flat, prefix) {
+			n++
+		}
+	}
+	return n
 }
 
 // Put stores a complete pair slice as a bucket in one call.
@@ -513,9 +705,17 @@ func (s *Store) Remove(name string) error {
 		s.mu.Unlock()
 		return nil
 	}
+	flat := flatten(name)
+	s.mu.Lock()
+	s.unholdLocked(flat)
+	noFiles := s.held != nil && !s.spilled // a serving store's bucket files are all spills
+	s.mu.Unlock()
+	if noFiles {
+		return nil
+	}
 	// A bucket may exist in any at-rest form depending on the codec and
 	// compression settings when it was written; remove every variant.
-	path := filepath.Join(s.dir, flatten(name))
+	path := filepath.Join(s.dir, flat)
 	err := os.Remove(path)
 	for _, suffix := range atRestSuffixes() {
 		if ferr := os.Remove(path + suffix); err != nil && ferr == nil {
@@ -562,11 +762,18 @@ func (s *Store) RemoveJob(job int64) (int, error) {
 		return n, nil
 	}
 	flat := flatten(prefix)
+	n := 0
+	s.mu.Lock()
+	for name := range s.held {
+		if strings.HasPrefix(name, flat) && s.unholdLocked(name) {
+			n++
+		}
+	}
+	s.mu.Unlock()
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return 0, err
+		return n, err
 	}
-	n := 0
 	var firstErr error
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasPrefix(e.Name(), flat) {
@@ -632,7 +839,11 @@ func (s *Store) OpenLocal(name string) (io.ReadCloser, error) {
 		}
 		return io.NopCloser(bytes.NewReader(data)), nil
 	}
-	ar, err := resolveAtRest(filepath.Join(s.dir, flatten(name)))
+	flat := flatten(name)
+	if hb, ok := s.lookupHeld(flat); ok {
+		return hb.open(), nil
+	}
+	ar, err := resolveAtRest(filepath.Join(s.dir, flat))
 	if err != nil {
 		return nil, err
 	}
@@ -660,6 +871,23 @@ func (s *Store) ServeName(escaped string) (string, error) {
 		return "", fmt.Errorf("bucket: memory store cannot serve files")
 	}
 	return filepath.Join(s.dir, name), nil
+}
+
+// ServeData is the data server: it serves the bucket named by an
+// escaped URL path element (what follows "/data/" in the URL the store
+// advertises) from memory when held, otherwise from its file, through
+// ServeBucket's wire negotiation either way.
+func (s *Store) ServeData(w http.ResponseWriter, r *http.Request, escaped string) {
+	path, err := s.ServeName(escaped)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if hb, ok := s.lookupHeld(filepath.Base(path)); ok {
+		serveAtRest(w, r, hb.form, bytes.NewReader(hb.data), int64(len(hb.data)))
+		return
+	}
+	ServeBucket(w, r, path)
 }
 
 // flatten converts a hierarchical bucket name into a safe flat file name.
@@ -910,46 +1138,48 @@ func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {
 		http.NotFound(w, r)
 		return
 	}
-	if ar.blockCodec != nil {
-		serveBlockBucket(w, r, ar)
-		return
-	}
-	if !ar.legacyFlate {
-		http.ServeFile(w, r, ar.path)
-		return
-	}
 	f, err := os.Open(ar.path)
 	if err != nil {
 		http.NotFound(w, r)
 		return
 	}
 	defer f.Close()
-	if acceptsDeflate(r) {
-		w.Header().Set("Content-Encoding", "deflate")
-		if fi, err := f.Stat(); err == nil {
-			w.Header().Set("Content-Length", fmt.Sprint(fi.Size()))
-		}
-		io.Copy(w, f)
+	fi, err := f.Stat()
+	if err != nil {
+		http.NotFound(w, r)
 		return
 	}
-	fr := deflateCodec().NewReader(f)
-	io.Copy(w, fr)
-	fr.Close()
+	serveAtRest(w, r, ar, f, fi.Size())
 }
 
-// serveBlockBucket serves one block-framed at-rest file, picking the
-// wire form the client can decode along both negotiation axes: the
-// codec (RequestHeader) and the block kind (BlockAcceptHeader). A
-// columnar file served to a peer that never advertised block kinds —
-// a pre-columnar build — is transcoded down to row blocks, so
-// mixed-version fleets keep exchanging data.
-func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest) {
-	f, err := os.Open(ar.path)
-	if err != nil {
-		http.NotFound(w, r)
-		return
+// serveAtRest writes one bucket's at-rest bytes (size bytes from body,
+// in form ar) to an HTTP response in the wire form ServeBucket
+// describes.
+func serveAtRest(w http.ResponseWriter, r *http.Request, ar atRest, body io.Reader, size int64) {
+	switch {
+	case ar.blockCodec != nil:
+		serveBlockBucket(w, r, ar, body, size)
+	case !ar.legacyFlate:
+		w.Header().Set("Content-Length", fmt.Sprint(size))
+		io.Copy(w, body)
+	case acceptsDeflate(r):
+		w.Header().Set("Content-Encoding", "deflate")
+		w.Header().Set("Content-Length", fmt.Sprint(size))
+		io.Copy(w, body)
+	default:
+		fr := deflateCodec().NewReader(body)
+		io.Copy(w, fr)
+		fr.Close()
 	}
-	defer f.Close()
+}
+
+// serveBlockBucket serves one block-framed bucket, picking the wire
+// form the client can decode along both negotiation axes: the codec
+// (RequestHeader) and the block kind (BlockAcceptHeader). A columnar
+// bucket served to a peer that never advertised block kinds — a
+// pre-columnar build — is transcoded down to row blocks, so
+// mixed-version fleets keep exchanging data.
+func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest, body io.Reader, size int64) {
 	accepted := wirecodec.ParseAccept(r.Header.Get(wirecodec.RequestHeader))
 	kind := wirecodec.BlockKindRow
 	if ar.columnar {
@@ -962,10 +1192,8 @@ func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest) {
 		// kind the client decodes — send them verbatim, zero CPU.
 		w.Header().Set(wirecodec.CodecHeader, ar.blockCodec.Name())
 		w.Header().Set(wirecodec.BlockEncHeader, kind)
-		if fi, err := f.Stat(); err == nil {
-			w.Header().Set("Content-Length", fmt.Sprint(fi.Size()))
-		}
-		io.Copy(w, f)
+		w.Header().Set("Content-Length", fmt.Sprint(size))
+		io.Copy(w, body)
 	case kindOK && len(accepted) > 0:
 		// A block-capable client that can't decode the at-rest codec:
 		// transcode block-to-block into the best mutual codec. Columnar
@@ -975,25 +1203,25 @@ func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest) {
 		to := wirecodec.Negotiate(accepted)
 		w.Header().Set(wirecodec.CodecHeader, to.Name())
 		w.Header().Set(wirecodec.BlockEncHeader, kind)
-		kvio.TranscodeBlocks(w, f, to)
+		kvio.TranscodeBlocks(w, body, to)
 	case len(accepted) > 0:
 		// Block-capable but row-only client (a pre-columnar build) and a
-		// columnar file: flatten every frame into row blocks under the
+		// columnar bucket: flatten every frame into row blocks under the
 		// best mutual codec — the mixed-version fallback.
 		to := wirecodec.Negotiate(accepted)
 		w.Header().Set(wirecodec.CodecHeader, to.Name())
 		w.Header().Set(wirecodec.BlockEncHeader, wirecodec.BlockKindRow)
-		kvio.TranscodeToRowBlocks(w, f, to)
+		kvio.TranscodeToRowBlocks(w, body, to)
 	case acceptsDeflate(r):
 		// Pre-block client that speaks the legacy deflate negotiation:
 		// flatten blocks to a record stream under Content-Encoding.
 		w.Header().Set("Content-Encoding", "deflate")
 		cw := deflateCodec().NewWriter(w)
-		kvio.TranscodeToRecords(cw, f)
+		kvio.TranscodeToRecords(cw, body)
 		cw.Close()
 	default:
 		// Identity legacy client.
-		kvio.TranscodeToRecords(w, f)
+		kvio.TranscodeToRecords(w, body)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bucket"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/kvio"
@@ -173,18 +174,21 @@ func TestConcurrentJobsUnderChaos(t *testing.T) {
 	checkTenants(t, wantWC, gotWC, wantPi, gotPi)
 }
 
-// jobFiles counts on-disk bucket files belonging to the given job in
-// one store directory (job buckets flatten to a "j<id>_" prefix).
-func jobFiles(t *testing.T, dir string, job int64) int {
+// jobFiles counts the buckets one store holds for the given job: the
+// ones held in memory plus the bucket files in its directory (job
+// buckets flatten to a "j<id>_" prefix).
+func jobFiles(t *testing.T, st *bucket.Store, job int64) int {
 	t.Helper()
+	dir := st.Dir()
+	held := st.HeldJob(job)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0
+			return held
 		}
 		t.Fatal(err)
 	}
-	n := 0
+	n := held
 	prefix := fmt.Sprintf("j%d_", job)
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), prefix) {
@@ -215,9 +219,9 @@ func TestJobGCReclaimsSlaveDisk(t *testing.T) {
 		if len(pairs) == 0 {
 			return fmt.Errorf("no output")
 		}
-		// While the job is live its buckets are on the slaves' disks.
+		// While the job is live its buckets are on the slaves.
 		for i := 0; i < c.NumSlaves(); i++ {
-			if jobFiles(t, c.Slave(i).StoreDir(), 1) > 0 {
+			if jobFiles(t, c.Slave(i).Store(), 1) > 0 {
 				sawFiles = true
 			}
 		}
@@ -233,7 +237,7 @@ func TestJobGCReclaimsSlaveDisk(t *testing.T) {
 		t.Fatalf("first job id = %d, want 1", first.ID())
 	}
 	if !sawFiles {
-		t.Fatal("first job left no bucket files on any slave while running; GC test observes nothing")
+		t.Fatal("first job left no buckets on any slave while running; GC test observes nothing")
 	}
 
 	// A second tenant keeps the fleet busy; its get_task polls carry
@@ -261,13 +265,13 @@ func TestJobGCReclaimsSlaveDisk(t *testing.T) {
 	for {
 		left := 0
 		for i := 0; i < c.NumSlaves(); i++ {
-			left += jobFiles(t, c.Slave(i).StoreDir(), 1)
+			left += jobFiles(t, c.Slave(i).Store(), 1)
 		}
 		if left == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("first job's files still on slave disks: %d", left)
+			t.Fatalf("first job's buckets still on slaves: %d", left)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -279,8 +283,8 @@ func TestJobGCReclaimsSlaveDisk(t *testing.T) {
 		t.Fatal("no slave performed a job GC")
 	}
 	// The master's own store (source buckets) is reclaimed too.
-	if n := jobFiles(t, c.M.Store().Dir(), 1); n != 0 {
-		t.Fatalf("master still holds %d files of the completed job", n)
+	if n := jobFiles(t, c.M.Store(), 1); n != 0 {
+		t.Fatalf("master still holds %d buckets of the completed job", n)
 	}
 }
 

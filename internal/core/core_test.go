@@ -169,9 +169,14 @@ func TestPerOpDataPlanePins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := job.MapReduce(src, "split", "sum",
-		OpOpts{Splits: 4, Codec: "lz", BlockEncoding: "columnar-dict"},
-		OpOpts{Splits: 2})
+	// Map and Reduce rather than MapReduce: the test keeps its own
+	// handle on the pinned intermediate, so it is not freed before the
+	// files are inspected.
+	mid, err := job.Map(src, "split", OpOpts{Splits: 4, Codec: "lz", BlockEncoding: "columnar-dict"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := job.Reduce(mid, "sum", OpOpts{Splits: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -581,13 +581,19 @@ func (j *Job) Reduce(src *Dataset, funcName string, opts OpOpts) (*Dataset, erro
 }
 
 // MapReduce queues a map followed by a reduce; mapOpts.Splits sets the
-// number of reduce tasks.
+// number of reduce tasks. The intermediate map output is never handed
+// to the caller, so it is freed (deferred, as Dataset.Free) once the
+// reduce has consumed it.
 func (j *Job) MapReduce(src *Dataset, mapName, reduceName string, mapOpts, reduceOpts OpOpts) (*Dataset, error) {
 	mid, err := j.Map(src, mapName, mapOpts)
 	if err != nil {
 		return nil, err
 	}
-	return j.Reduce(mid, reduceName, reduceOpts)
+	out, err := j.Reduce(mid, reduceName, reduceOpts)
+	if err != nil {
+		return nil, err
+	}
+	return out, mid.Free()
 }
 
 // wait blocks until dataset id completes; returns the materialization.

@@ -527,15 +527,9 @@ func (m *Master) statusPage() string {
 	return out
 }
 
-// serveData serves bucket files to slaves and to Collect.
+// serveData serves buckets to slaves and to Collect.
 func (m *Master) serveData(w http.ResponseWriter, r *http.Request) {
-	name := strings.TrimPrefix(r.URL.Path, "/data/")
-	path, err := m.store.ServeName(name)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	bucket.ServeBucket(w, r, path)
+	m.store.ServeData(w, r, strings.TrimPrefix(r.URL.Path, "/data/"))
 }
 
 // ---------------------------------------------------------------------------
@@ -662,8 +656,8 @@ func (m *Master) handleGetTasks(args []any) (any, error) {
 	return rpcproto.EncodeAssignments(as)
 }
 
-// assignOne is the get_task body: liveness bookkeeping, piggybacked
-// broadcasts, then one long poll on the scheduler.
+// assignOne is the get_task body: liveness bookkeeping, one long poll
+// on the scheduler, then the piggybacked broadcasts.
 func (m *Master) assignOne(args []any) (rpcproto.Assignment, error) {
 	id, err := slaveIDArg(args)
 	if err != nil {
@@ -672,12 +666,7 @@ func (m *Master) assignOne(args []any) (rpcproto.Assignment, error) {
 	if !m.touch(id) {
 		return rpcproto.Assignment{}, unknownSlaveFault(id)
 	}
-	// Collect piggybacked deletes and job-GC broadcasts.
 	m.mu.Lock()
-	deletes := m.pendingDeletes[id]
-	delete(m.pendingDeletes, id)
-	gcJobs := m.pendingGC[id]
-	delete(m.pendingGC, id)
 	closed, crashed := m.closed, m.crashed
 	draining := false
 	if info := m.slaves[id]; info != nil && info.draining {
@@ -687,12 +676,10 @@ func (m *Master) assignOne(args []any) (rpcproto.Assignment, error) {
 		// the scheduler's stale-delivery tolerance.
 		draining = true
 		delete(m.slaves, id)
-		delete(m.pendingDeletes, id)
-		delete(m.pendingGC, id)
 	}
 	m.mu.Unlock()
 	if draining {
-		return rpcproto.Assignment{Status: rpcproto.StatusShutdown, Deletes: deletes, GCJobs: gcJobs}, nil
+		return m.withBroadcasts(id, rpcproto.Assignment{Status: rpcproto.StatusShutdown}), nil
 	}
 	if closed {
 		if crashed {
@@ -701,7 +688,7 @@ func (m *Master) assignOne(args []any) (rpcproto.Assignment, error) {
 			// restarted master answers.
 			return rpcproto.Assignment{}, fmt.Errorf("master: unavailable (crashing)")
 		}
-		return rpcproto.Assignment{Status: rpcproto.StatusShutdown, Deletes: deletes, GCJobs: gcJobs}, nil
+		return m.withBroadcasts(id, rpcproto.Assignment{Status: rpcproto.StatusShutdown}), nil
 	}
 	if m.blacklisted(id) {
 		// Park the repeat offender for a long-poll period so it paces
@@ -711,7 +698,7 @@ func (m *Master) assignOne(args []any) (rpcproto.Assignment, error) {
 		m.mu.Lock()
 		m.taskStats.Blacklisted++
 		m.mu.Unlock()
-		return rpcproto.Assignment{Status: rpcproto.StatusIdle, Deletes: deletes, GCJobs: gcJobs}, nil
+		return m.withBroadcasts(id, rpcproto.Assignment{Status: rpcproto.StatusIdle}), nil
 	}
 	task, attempt, err := m.sched.RequestAttempt(id, m.opts.LongPoll)
 	if err == sched.ErrClosed {
@@ -721,26 +708,40 @@ func (m *Master) assignOne(args []any) (rpcproto.Assignment, error) {
 		if crashed {
 			return rpcproto.Assignment{}, fmt.Errorf("master: unavailable (crashing)")
 		}
-		return rpcproto.Assignment{Status: rpcproto.StatusShutdown, Deletes: deletes, GCJobs: gcJobs}, nil
+		return m.withBroadcasts(id, rpcproto.Assignment{Status: rpcproto.StatusShutdown}), nil
 	}
 	if err != nil {
 		return rpcproto.Assignment{}, err
 	}
 	m.touch(id) // the long poll may have taken a while
 	if task == nil {
-		return rpcproto.Assignment{Status: rpcproto.StatusIdle, Deletes: deletes, GCJobs: gcJobs}, nil
+		return m.withBroadcasts(id, rpcproto.Assignment{Status: rpcproto.StatusIdle}), nil
 	}
 	m.mu.Lock()
 	m.taskStats.TasksAssigned++
 	m.mu.Unlock()
-	return rpcproto.Assignment{
+	return m.withBroadcasts(id, rpcproto.Assignment{
 		Status:  rpcproto.StatusTask,
 		TaskID:  int64(task.ID),
 		Attempt: int64(attempt),
 		Spec:    task.Spec,
-		Deletes: deletes,
-		GCJobs:  gcJobs,
-	}, nil
+	}), nil
+}
+
+// withBroadcasts attaches the node's queued deletes and job-GC ids to
+// a get_task answer. They are collected only once the answer is
+// settled, after the long poll: a Free queued while the node waited
+// then reaches it no later than the task it is handed, and the slave
+// applies deletes before dispatching that task — so a delete can never
+// land on a bucket that a later job, reusing the name, has just written.
+func (m *Master) withBroadcasts(id string, a rpcproto.Assignment) rpcproto.Assignment {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	a.Deletes = m.pendingDeletes[id]
+	delete(m.pendingDeletes, id)
+	a.GCJobs = m.pendingGC[id]
+	delete(m.pendingGC, id)
+	return a
 }
 
 // blacklisted reports whether the slave has failed enough tasks to be
@@ -1125,6 +1126,12 @@ func (m *Master) SetJobWeight(id core.JobID, weight int) {
 func (m *Master) Free(mat *core.Materialized) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.crashed {
+		// As in jobComplete: a crashed master's driver may still run
+		// its deferred frees, but the journal names these buckets and
+		// recovery needs them.
+		return
+	}
 	for _, split := range mat.Splits {
 		for _, d := range split {
 			if d.Name == "" {

@@ -8,6 +8,7 @@ package master
 // completions the test delivers are the completions that happen.
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -429,4 +430,31 @@ func TestCloseFlushesAndReleasesJournal(t *testing.T) {
 		t.Fatalf("reopened journal state: %+v", st2.Job(int64(mj.ID())))
 	}
 	jl.Close()
+}
+
+// A crashed master's driver may still run its deferred frees. They
+// must not delete shared-dir buckets: the journal names them, and the
+// restarted master's recovery needs them.
+func TestFreeAfterCrashKeepsBuckets(t *testing.T) {
+	sharedDir := t.TempDir()
+	m := recoveryMaster(t, sharedDir, t.TempDir(), nil)
+	d, err := m.Store().Put("j1/ds1/t0/s0", []kvio.Pair{kvio.StrPair("k", "v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, ok := strings.CutPrefix(d.URL, "file://")
+	if !ok {
+		t.Fatalf("shared-dir bucket URL %q is not a file URL", d.URL)
+	}
+	mat := core.NewMaterialized(1, "")
+	if err := mat.SetTaskBucket(0, 0, d); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	m.Free(mat)
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("Free after Crash removed a journaled bucket: %v", err)
+	}
 }

@@ -185,6 +185,17 @@ const (
 	MetricMasterBatchReports    = "mrs_master_batch_reports_total"
 )
 
+// Bucket memory-tier metric names. A serving store (slave or master)
+// keeps small buckets in memory instead of files: the two gauges are
+// the bytes and buckets held right now, summed over the stores sharing
+// a registry; the counter is buckets such a store wrote to disk because
+// they outgrew one buffer or the store's cap.
+const (
+	MetricBucketMemBytes   = "mrs_bucket_mem_bytes"
+	MetricBucketMemBuckets = "mrs_bucket_mem_buckets"
+	MetricBucketSpilled    = "mrs_bucket_spilled_total"
+)
+
 // RegisterResidentGauge installs the pinned-bytes gauge derived from
 // the monotonic inserted/reclaimed counters. Registering is idempotent
 // (SetGauge replaces), so every slave sharing the registry may call it.
@@ -224,11 +235,12 @@ type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]func() int64
+	levels   map[string]*Counter // Level gauges, also listed in gauges
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{counters: map[string]*Counter{}, gauges: map[string]func() int64{}}
+	return &Metrics{counters: map[string]*Counter{}, gauges: map[string]func() int64{}, levels: map[string]*Counter{}}
 }
 
 // Counter returns the named counter, creating it on first use. Returns
@@ -261,6 +273,25 @@ func (m *Metrics) SetGauge(name string, fn func() int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.gauges[name] = fn
+}
+
+// Level returns an additive gauge: owners move it up and down with
+// Add, and it is exposed as a gauge reading the running sum, so several
+// owners sharing the registry report their total. Returns nil (a no-op)
+// on a nil registry.
+func (m *Metrics) Level(name string) *Counter {
+	if m == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c, ok := m.levels[name]
+	if !ok {
+		c = &Counter{}
+		m.levels[name] = c
+		m.gauges[name] = c.Value
+	}
+	return c
 }
 
 // Get returns the current value of a counter or gauge (0 if absent).

@@ -91,6 +91,26 @@ func TestWriteProm(t *testing.T) {
 	}
 }
 
+func TestLevelSumsOwnersAsGauge(t *testing.T) {
+	m := NewMetrics()
+	a, b := m.Level("mrs_held"), m.Level("mrs_held")
+	a.Add(10)
+	b.Add(5)
+	a.Add(-3)
+	if got := m.Get("mrs_held"); got != 12 {
+		t.Errorf("level = %d, want 12 (sum of both owners)", got)
+	}
+	var buf bytes.Buffer
+	if err := m.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "# TYPE mrs_held gauge") || !strings.Contains(out, "mrs_held 12") {
+		t.Errorf("level not exposed as a gauge:\n%s", out)
+	}
+	var nilM *Metrics
+	nilM.Level("x").Add(1) // no-op
+}
+
 func TestTracerLifecycle(t *testing.T) {
 	clk := clock.NewFake(time.Unix(1000, 0))
 	tr := NewTracer(clk)

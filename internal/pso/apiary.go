@@ -345,6 +345,7 @@ func RunMapReduce(job *core.Job, cfg Config) (*Result, error) {
 		if err != nil {
 			return false, err
 		}
+		_ = c.ds.Free()
 		res.Best = best
 		res.OuterIters = c.outer
 		res.Evaluations = int64(c.outer) * cfg.evalsPerOuter()
@@ -398,6 +399,9 @@ func RunMapReduce(job *core.Job, cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			// bm is last consumed by this check's reduce; the check
+			// itself is freed once inspected.
+			freeable = append(freeable, retired{outer, bm})
 			pending = append(pending, check{outer: outer, ds: bd})
 		}
 

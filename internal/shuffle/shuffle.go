@@ -18,10 +18,12 @@ package shuffle
 
 import (
 	"bytes"
+	"cmp"
 	"container/heap"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/kvio"
@@ -45,22 +47,29 @@ type Options struct {
 	Combine CombineFunc
 }
 
-// arenaChunk is the slab size for record storage. Large enough that
-// chunk allocations are rare against typical record sizes, small enough
-// that a mostly-empty final chunk wastes little.
-const arenaChunk = 256 << 10
+// Arena chunk sizes. The first chunk is small so a sorter holding a
+// dozen records (every PSO reduce) neither allocates nor zeroes a
+// large slab; each further chunk doubles, up to a cap large enough that
+// chunk allocations are rare against typical record sizes and small
+// enough that a mostly-empty final chunk wastes little.
+const (
+	arenaMinChunk = 4 << 10
+	arenaMaxChunk = 256 << 10
+)
 
 // arena is a chunked bump allocator for record bytes. Old chunks stay
 // alive only while slices returned by copy reference them; reset reuses
 // the current chunk for the next fill.
 type arena struct {
-	buf []byte // current chunk: len = bytes used, cap = chunk size
+	buf  []byte // current chunk: len = bytes used, cap = chunk size
+	next int    // size of the next chunk (0 = arenaMinChunk)
 }
 
 // copy appends b to the arena and returns the arena-owned copy.
 func (a *arena) copy(b []byte) []byte {
 	if len(b) > cap(a.buf)-len(a.buf) {
-		size := arenaChunk
+		size := max(a.next, arenaMinChunk)
+		a.next = min(2*size, arenaMaxChunk)
 		if len(b) > size {
 			size = len(b) // oversized records get a dedicated chunk
 		}
@@ -311,15 +320,6 @@ func (s *Sorter) Added() int64 { return s.added }
 // Spills returns how many run files were written.
 func (s *Sorter) Spills() int { return s.spills }
 
-// sortBuf stably sorts the in-memory buffer by key. Stability keeps
-// value order deterministic across implementations, which the Mrs
-// debugging story (serial == parallel output) depends on.
-func (s *Sorter) sortBuf() {
-	sort.SliceStable(s.buf, func(i, j int) bool {
-		return bytes.Compare(s.buf[i].Key, s.buf[j].Key) < 0
-	})
-}
-
 // forEachMemGroup yields the in-memory content as combined key groups
 // in ascending key order. It does not disturb the hash index: the
 // grouped path sorts an index permutation, not the groups themselves.
@@ -346,7 +346,6 @@ func (s *Sorter) forEachMemGroup(fn func(key []byte, values [][]byte) error) err
 		}
 		return nil
 	}
-	s.sortBuf()
 	return forEachGroup(s.buf, func(key []byte, values [][]byte) error {
 		values, err := s.combine(key, values)
 		if err != nil {
@@ -443,21 +442,33 @@ func (s *Sorter) Close() error {
 	return first
 }
 
-// forEachGroup walks a key-sorted pair slice and invokes fn once per
-// distinct key with the values in encounter order.
-func forEachGroup(sorted []kvio.Pair, fn func(key []byte, values [][]byte) error) error {
-	i := 0
+// forEachGroup walks pairs in ascending key order and invokes fn once
+// per distinct key with its values in insertion order — the order a
+// stable sort gives, which keeps value order deterministic across
+// implementations (the Mrs debugging story: serial == parallel output).
+// It sorts an index permutation, ties broken by index, rather than the
+// pairs themselves: it swaps 4-byte indices instead of 48-byte pairs
+// and, holding no pointers, pays no GC write barriers.
+func forEachGroup(pairs []kvio.Pair, fn func(key []byte, values [][]byte) error) error {
+	order := make([]int32, len(pairs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := bytes.Compare(pairs[a].Key, pairs[b].Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	var values [][]byte
-	for i < len(sorted) {
-		j := i + 1
-		for j < len(sorted) && bytes.Equal(sorted[j].Key, sorted[i].Key) {
-			j++
-		}
+	for i := 0; i < len(order); {
+		key := pairs[order[i]].Key
 		values = values[:0]
-		for k := i; k < j; k++ {
-			values = append(values, sorted[k].Value)
+		j := i
+		for ; j < len(order) && bytes.Equal(pairs[order[j]].Key, key); j++ {
+			values = append(values, pairs[order[j]].Value)
 		}
-		if err := fn(sorted[i].Key, values); err != nil {
+		if err := fn(key, values); err != nil {
 			return err
 		}
 		i = j

@@ -392,6 +392,52 @@ func BenchmarkSorterAddCombine(b *testing.B) {
 	}
 }
 
+// smallSorterRun is one combining sort of a dozen records, the shape
+// of a PSO reduce: fill, group, close.
+func smallSorterRun(tb testing.TB, pairs []kvio.Pair) {
+	s := NewSorter(Options{Combine: sumCombine})
+	for _, p := range pairs {
+		if err := s.Add(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := s.Groups(func([]byte, [][]byte) error { return nil }); err != nil {
+		tb.Fatal(err)
+	}
+	s.Close()
+}
+
+func smallSorterPairs() []kvio.Pair {
+	pairs := make([]kvio.Pair, 12)
+	for i := range pairs {
+		pairs[i] = kvio.Pair{Key: []byte(fmt.Sprintf("swarm-%d", i%4)), Value: codec.EncodeVarint(int64(i))}
+	}
+	return pairs
+}
+
+func BenchmarkSorterSmall(b *testing.B) {
+	pairs := smallSorterPairs()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		smallSorterRun(b, pairs)
+	}
+}
+
+// A sorter holding a dozen records must not pay for a full arena
+// chunk up front.
+func TestSmallSorterAllocatesLittle(t *testing.T) {
+	pairs := smallSorterPairs()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			smallSorterRun(b, pairs)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 16<<10 {
+		t.Errorf("small combining sorter allocates %d bytes per run, want < %d", got, 16<<10)
+	}
+}
+
 func BenchmarkSortGroupInMemory(b *testing.B) {
 	pairs := make([]kvio.Pair, 10000)
 	for i := range pairs {

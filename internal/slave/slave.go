@@ -282,8 +282,8 @@ func (s *Slave) TasksRun() int64 { return s.tasksRun.Load() }
 // performed.
 func (s *Slave) JobGCs() int64 { return s.jobGCs.Load() }
 
-// StoreDir returns the directory backing this slave's bucket store.
-func (s *Slave) StoreDir() string { return s.store.Dir() }
+// Store returns this slave's bucket store.
+func (s *Slave) Store() *bucket.Store { return s.store }
 
 // ResidentBytes returns the bytes currently pinned in this slave's
 // resident cache (0 when the cache is disabled).
@@ -298,13 +298,7 @@ func (s *Slave) ResidentSplits() int { return s.resident.Len() }
 func (s *Slave) Resignins() int64 { return s.resignins.Load() }
 
 func (s *Slave) serveData(w http.ResponseWriter, r *http.Request) {
-	name := strings.TrimPrefix(r.URL.Path, "/data/")
-	path, err := s.store.ServeName(name)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	bucket.ServeBucket(w, r, path)
+	s.store.ServeData(w, r, strings.TrimPrefix(r.URL.Path, "/data/"))
 }
 
 // Run signs in and processes tasks until the master shuts down, the

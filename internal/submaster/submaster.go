@@ -10,9 +10,8 @@
 // the sub-master holds a lease on, a local retry budget that absorbs
 // transient child failures without a master round trip, and fan-out of
 // the master's piggybacked delete/GC broadcasts. Upward, it behaves
-// like one wide slave: it polls get_task only while its children have
-// idle slots (demand-driven fetch, capped at FetchWindow concurrent
-// polls), batches its children's task outcomes into report_batch RPCs,
+// like one wide slave: it polls get_tasks only while its children have
+// idle slots (demand-driven fetch, one poll in flight), batches its children's task outcomes into report_batch RPCs,
 // and heartbeats under a single identity. If the master restarts and
 // answers with the unknown-slave fault, the sub-master re-signs in
 // under a fresh id without disturbing its children — they only ever
@@ -67,11 +66,6 @@ type Options struct {
 	// Obs receives the sub-master's control-plane metrics (nil
 	// disables).
 	Obs *obs.Runtime
-	// FetchWindow caps concurrent upward get_task polls (default 4).
-	// In-flight tasks are bounded by the children's aggregate slots,
-	// not by the window: a fetcher hands its slot to the task it
-	// fetched and immediately polls for the next one.
-	FetchWindow int
 	// FetchBatch caps how many assignments one upward poll may carry
 	// (default 16). A fetcher grabs every free child slot up to this
 	// cap before polling, so refilling an idle shard costs one
@@ -174,9 +168,6 @@ func New(opts Options) (*SubMaster, error) {
 	}
 	if opts.MaxConsecutiveRPCErrors <= 0 {
 		opts.MaxConsecutiveRPCErrors = 10
-	}
-	if opts.FetchWindow <= 0 {
-		opts.FetchWindow = 4
 	}
 	if opts.FetchBatch <= 0 {
 		opts.FetchBatch = 16
@@ -342,10 +333,13 @@ func (s *SubMaster) Run(ctx context.Context) error {
 	flusherDone := make(chan struct{})
 	go s.flusher(flusherDone)
 
-	s.wg.Add(s.opts.FetchWindow)
-	for i := 0; i < s.opts.FetchWindow; i++ {
-		go s.fetcher(ctx)
-	}
+	// One upward poll in flight at a time: the master's answers, and
+	// the deletes and job-GC broadcasts they carry, are then relayed in
+	// the order the master built them. With concurrent polls an answer
+	// carrying a Free's deletes could be relayed after a later answer's
+	// task of a new job had already rewritten those bucket names.
+	s.wg.Add(1)
+	go s.fetcher(ctx)
 
 	select {
 	case <-ctx.Done():
@@ -534,7 +528,7 @@ func (s *SubMaster) tryAcquireSlots(n int) int {
 	return got
 }
 
-// fetcher is one upward polling loop. It owns at most one slot at a
+// fetcher is the upward polling loop. It owns at most one slot at a
 // time: while holding it, it polls the master until it fetches a task
 // (the slot transfers to the task and releases on completion) or the
 // master signals shutdown.
@@ -875,45 +869,56 @@ func (s *SubMaster) handleGetTask(args []any) (any, error) {
 		return nil, unknownChildFault(id)
 	}
 	s.mu.Lock()
-	deletes := s.pendingDeletes[id]
-	delete(s.pendingDeletes, id)
-	gcJobs := s.pendingGC[id]
-	delete(s.pendingGC, id)
 	leaving := s.closing
 	if c := s.children[id]; c != nil && c.draining {
 		leaving = true
 	}
 	if leaving {
 		// The child is done here — shutting down with us, or drained
-		// out from under us. Forget it and send it away cleanly.
+		// out from under us. Send it away cleanly and forget it.
+		a := s.withBroadcastsLocked(id, rpcproto.Assignment{Status: rpcproto.StatusShutdown})
 		s.forgetChildLocked(id)
+		s.mu.Unlock()
+		return encodeAssignment(a)
 	}
 	s.mu.Unlock()
-	if leaving {
-		return encodeAssignment(rpcproto.Assignment{Status: rpcproto.StatusShutdown, Deletes: deletes, GCJobs: gcJobs})
-	}
 	task, attempt, err := s.sched.RequestAttempt(id, s.opts.LongPoll)
 	if err == sched.ErrClosed {
 		s.mu.Lock()
+		a := s.withBroadcastsLocked(id, rpcproto.Assignment{Status: rpcproto.StatusShutdown})
 		s.forgetChildLocked(id)
 		s.mu.Unlock()
-		return encodeAssignment(rpcproto.Assignment{Status: rpcproto.StatusShutdown, Deletes: deletes, GCJobs: gcJobs})
+		return encodeAssignment(a)
 	}
 	if err != nil {
 		return nil, err
 	}
 	s.touchChild(id) // the long poll may have taken a while
-	if task == nil {
-		return encodeAssignment(rpcproto.Assignment{Status: rpcproto.StatusIdle, Deletes: deletes, GCJobs: gcJobs})
+	a := rpcproto.Assignment{Status: rpcproto.StatusIdle}
+	if task != nil {
+		a = rpcproto.Assignment{
+			Status:  rpcproto.StatusTask,
+			TaskID:  int64(task.ID),
+			Attempt: int64(attempt),
+			Spec:    task.Spec,
+		}
 	}
-	return encodeAssignment(rpcproto.Assignment{
-		Status:  rpcproto.StatusTask,
-		TaskID:  int64(task.ID),
-		Attempt: int64(attempt),
-		Spec:    task.Spec,
-		Deletes: deletes,
-		GCJobs:  gcJobs,
-	})
+	s.mu.Lock()
+	a = s.withBroadcastsLocked(id, a)
+	s.mu.Unlock()
+	return encodeAssignment(a)
+}
+
+// withBroadcastsLocked attaches the child's queued deletes and job-GC
+// ids to a get_task answer. As in the master, they are collected after
+// the long poll, so a relayed delete reaches the child no later than
+// the task it precedes.
+func (s *SubMaster) withBroadcastsLocked(id string, a rpcproto.Assignment) rpcproto.Assignment {
+	a.Deletes = s.pendingDeletes[id]
+	delete(s.pendingDeletes, id)
+	a.GCJobs = s.pendingGC[id]
+	delete(s.pendingGC, id)
+	return a
 }
 
 func encodeAssignment(a rpcproto.Assignment) (any, error) {

@@ -93,6 +93,10 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=2 \
 		-run 'Hierarchical|SubMaster|Elastic|Drain|Speculat|Resignin|Tree|Escalates' \
 		./internal/cluster ./internal/submaster ./internal/sched
+	echo "== tier 2: bucket memory-tier + delete-ordering stress (race, repeated)"
+	go test -race -count=2 \
+		-run 'MemTier|FreeThenNewJob|IterationsLeaveHeld|MultipleJobsOneCluster|FreeAfterCrash|JobGC' \
+		./internal/bucket ./internal/cluster ./internal/master
 	echo "== tier 2: journal replay fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzJournalReplay' -fuzztime 10s ./internal/journal
 	echo "== tier 2: traced pipelined job end-to-end"
