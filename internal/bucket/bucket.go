@@ -963,14 +963,19 @@ func (s *Store) Open(rawURL string) (io.ReadCloser, error) {
 const FetchRetries = 5
 
 func (s *Store) openHTTP(rawURL string) (io.ReadCloser, error) {
-	// Jitter is seeded from the URL so a given fetch's retry schedule is
-	// reproducible while distinct fetches desynchronize (no retry storms
-	// hammering a recovering slave in lockstep).
-	retry := fault.NewBackoff(hash.FNV1a64String(rawURL))
 	client := s.fetchClient()
+	var retry *fault.Backoff
 	var lastErr error
 	for attempt := 1; attempt <= FetchRetries; attempt++ {
 		if attempt > 1 {
+			// Jitter is seeded from the URL so a given fetch's retry
+			// schedule is reproducible while distinct fetches
+			// desynchronize (no retry storms hammering a recovering
+			// slave in lockstep). Seeding costs a 312-word twister, so
+			// only a retry pays it.
+			if retry == nil {
+				retry = fault.NewBackoff(hash.FNV1a64String(rawURL))
+			}
 			time.Sleep(retry.Delay(attempt - 1))
 		}
 		req, err := http.NewRequest(http.MethodGet, rawURL, nil)
@@ -1083,10 +1088,13 @@ func (f *drainReadCloser) Close() error {
 // indefinitely (the resident dataset cache depends on this).
 func (s *Store) Fetch(rawURL string) ([]byte, error) {
 	remote := strings.HasPrefix(rawURL, "http://") || strings.HasPrefix(rawURL, "https://")
-	retry := fault.NewBackoff(hash.FNV1a64String(rawURL) + 2)
+	var retry *fault.Backoff
 	var lastErr error
 	for attempt := 1; attempt <= FetchRetries; attempt++ {
 		if attempt > 1 {
+			if retry == nil {
+				retry = fault.NewBackoff(hash.FNV1a64String(rawURL) + 2)
+			}
 			time.Sleep(retry.Delay(attempt - 1))
 		}
 		rc, err := s.Open(rawURL)
@@ -1230,10 +1238,13 @@ func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest, body io
 // whole, since a partial record stream is useless to the caller.
 func (s *Store) ReadAll(rawURL string) ([]kvio.Pair, error) {
 	remote := strings.HasPrefix(rawURL, "http://") || strings.HasPrefix(rawURL, "https://")
-	retry := fault.NewBackoff(hash.FNV1a64String(rawURL) + 1)
+	var retry *fault.Backoff
 	var lastErr error
 	for attempt := 1; attempt <= FetchRetries; attempt++ {
 		if attempt > 1 {
+			if retry == nil {
+				retry = fault.NewBackoff(hash.FNV1a64String(rawURL) + 1)
+			}
 			time.Sleep(retry.Delay(attempt - 1))
 		}
 		rc, err := s.Open(rawURL)

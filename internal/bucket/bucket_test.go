@@ -283,3 +283,24 @@ func BenchmarkMemBucketWrite(b *testing.B) {
 		s.Remove(fmt.Sprintf("bench-%d", i))
 	}
 }
+
+var fetchSink []byte
+
+// BenchmarkFetchMem is the successful fetch the task engine makes for
+// every input: its allocations are the payload and the open reader,
+// with no retry backoff seeded.
+func BenchmarkFetchMem(b *testing.B) {
+	s := NewMemStore()
+	d, err := s.Put("bench", samplePairs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := s.Fetch(d.URL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fetchSink = data
+	}
+}

@@ -326,23 +326,6 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 	}
 }
 
-func BenchmarkMarshalTaskStruct(b *testing.B) {
-	task := map[string]any{
-		"task_id":   int64(123),
-		"dataset":   int64(7),
-		"kind":      "map",
-		"func":      "wordcount_map",
-		"splits":    int64(16),
-		"partition": "hash",
-		"urls":      []any{"http://n1:9000/data/a", "http://n2:9000/data/b"},
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := MarshalResponse(task); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestNestedValuePropertyRoundTrip builds random nested structures of
 // the supported types and checks exact round trips through the wire
 // format — the closest thing to a fuzzer the control plane gets.

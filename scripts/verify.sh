@@ -51,11 +51,16 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 		./internal/kvio ./internal/shuffle ./internal/bucket ./internal/wirecodec
 	echo "== tier 2: block framing fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzBlockReader' -fuzztime 10s ./internal/kvio
+	echo "== tier 2: XML-RPC decoder differential fuzz against encoding/xml (corpus + 10s each)"
+	go test -run '^$' -fuzz '^FuzzUnmarshalCall$' -fuzztime 10s ./internal/xmlrpc
+	go test -run '^$' -fuzz '^FuzzUnmarshalResponse$' -fuzztime 10s ./internal/xmlrpc
 	echo "== tier 2: allocation regression guard (scripts/alloc_thresholds.txt)"
 	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory' \
 		-benchmem -benchtime 100x ./internal/shuffle/
 	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock' \
-		-benchmem -benchtime 1000x ./internal/kvio/)"
+		-benchmem -benchtime 1000x ./internal/kvio/
+	go test -run '^$' -bench 'BenchmarkUnmarshal' -benchmem -benchtime 1000x ./internal/xmlrpc/
+	go test -run '^$' -bench 'BenchmarkFetchMem' -benchmem -benchtime 1000x ./internal/bucket/)"
 	echo "$bench"
 	echo "$bench" | awk '
 		NR == FNR { if ($0 !~ /^#/ && NF == 2) limit[$1] = $2; next }
