@@ -76,8 +76,13 @@ func drainNode(master, target string) error {
 	}
 	client := xmlrpc.NewClient("http://" + master + xmlrpc.RPCPath)
 	defer client.CloseIdle()
-	if _, err := client.Call(rpcproto.MethodDrain, target); err != nil {
-		return err
+	started, err := client.Call(rpcproto.MethodDrain, target)
+	if err != nil {
+		return err // an unknown target is a fault at every tier
+	}
+	if started == false {
+		fmt.Fprintf(os.Stderr, "mrs-launch: %s already draining\n", target)
+		return nil
 	}
 	fmt.Fprintf(os.Stderr, "mrs-launch: draining %s\n", target)
 	return nil

@@ -1,7 +1,9 @@
 // Package master implements the distributed master: it serves the
-// XML-RPC control plane, tracks slave liveness via heartbeats, drives
-// the task scheduler, and acts as a core.Executor so programs run on a
-// cluster exactly as they run serially.
+// XML-RPC control plane through a node.Server (signin, heartbeats and
+// reaping, get_task long polls, reports, drain) over its task
+// scheduler, owns the job journal and job stats, and acts as a
+// core.Executor so programs run on a cluster exactly as they run
+// serially.
 //
 // Mirroring §IV of the Mrs paper: starting a job requires only starting
 // one master and any number of slaves; no daemons or config files. The
@@ -23,7 +25,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/rpcproto"
 	"repro/internal/sched"
@@ -161,25 +163,11 @@ func (o *Options) fill() {
 	}
 }
 
-// slaveInfo tracks one signed-in node. The master↔slave star
-// generalized into a master↔node tree: a node is either a leaf slave
-// or a sub-master fronting a whole worker group (internal/submaster),
-// and the master schedules, leases, reaps, and drains both kinds
-// identically — a sub-master just looks like one very wide slave.
-type slaveInfo struct {
-	id        string
-	kind      string // rpcproto.NodeKindSlave or NodeKindSubmaster
-	addr      string // advertised address ("" for anonymous slaves)
-	slots     int64  // offered task slots (aggregated for sub-masters)
-	tasksDone int64  // completions this node reported
-	draining  bool   // next get_task answers shutdown and forgets it
-	lastSeen  time.Time
-}
-
 // Master is the distributed executor.
 type Master struct {
 	opts    Options
 	sched   *sched.Scheduler
+	srv     *node.Server // the node protocol over sched
 	store   *bucket.Store
 	ln      net.Listener
 	httpSrv *http.Server
@@ -191,20 +179,12 @@ type Master struct {
 	// journal or a fresh one); immutable after New.
 	recovered *journal.State
 
-	mu             sync.Mutex
-	slaves         map[string]*slaveInfo
-	nextSlave      int
-	pendingDeletes map[string][]string // slaveID -> bucket names
-	pendingGC      map[string][]int64  // slaveID -> completed job ids to reclaim
-	jobStats       map[core.JobID]*JobTaskStats
-	taskStats      TaskStats
-	journal        *journal.Journal // nil once detached by Close/Crash
-	closed         bool
-	crashed        bool // Crash() was used; skip clean-shutdown signals
-
-	reaperStop chan struct{}
-	reaperDone chan struct{}
-	specDone   chan struct{} // nil unless the speculation scanner runs
+	mu        sync.Mutex
+	jobStats  map[core.JobID]*JobTaskStats
+	taskStats TaskStats        // TasksDone and TasksFailed; the rest are srv's
+	journal   *journal.Journal // nil once detached by Close/Crash
+	closed    bool
+	crashed   bool // Crash() was used; skip clean-shutdown signals
 }
 
 // JobTaskStats counts one job's completed work as reported over the
@@ -227,27 +207,28 @@ type TaskStats struct {
 }
 
 // New starts a master listening on opts.Addr.
-func New(opts Options) (*Master, error) {
+func New(opts Options) (_ *Master, err error) {
 	opts.fill()
 	m := &Master{
-		opts:           opts,
-		sched:          sched.NewWithClock(opts.MaxAttempts, opts.Clock),
-		slaves:         map[string]*slaveInfo{},
-		pendingDeletes: map[string][]string{},
-		pendingGC:      map[string][]int64{},
-		jobStats:       map[core.JobID]*JobTaskStats{},
-		reaperStop:     make(chan struct{}),
-		reaperDone:     make(chan struct{}),
+		opts:     opts,
+		sched:    sched.NewWithClock(opts.MaxAttempts, opts.Clock),
+		jobStats: map[core.JobID]*JobTaskStats{},
 	}
+	defer func() {
+		if err == nil {
+			return
+		}
+		if m.ln != nil {
+			m.ln.Close()
+		}
+		if m.journal != nil {
+			m.journal.Close()
+		}
+		if m.ownsDir != "" {
+			os.RemoveAll(m.ownsDir)
+		}
+	}()
 	m.sched.SetObserver(opts.Obs)
-	m.sched.SetBlacklist(opts.BlacklistAfter, m.NumSlaves)
-	if opts.SpeculationFactor > 0 {
-		m.sched.SetSpeculation(sched.SpeculationConfig{
-			SlownessFactor: opts.SpeculationFactor,
-			MinRuntime:     opts.SpeculationMinRuntime,
-		})
-	}
-	m.registerGauges(opts.Obs)
 	m.manager = newJobManager(m, opts.MaxConcurrentJobs)
 	m.recovered = journal.NewState()
 
@@ -293,24 +274,16 @@ func New(opts Options) (*Master, error) {
 	} else if dir == "" {
 		d, err := os.MkdirTemp("", "mrs-master-*")
 		if err != nil {
-			if m.journal != nil {
-				m.journal.Close()
-			}
 			return nil, err
 		}
 		dir = d
 		m.ownsDir = d
 	}
 
-	ln, err := net.Listen("tcp", opts.Addr)
-	if err != nil {
-		if m.journal != nil {
-			m.journal.Close()
-		}
+	if m.ln, err = net.Listen("tcp", opts.Addr); err != nil {
 		return nil, fmt.Errorf("master: listen %s: %w", opts.Addr, err)
 	}
-	m.ln = ln
-	m.addr = ln.Addr().String()
+	m.addr = m.ln.Addr().String()
 
 	baseURL := ""
 	if opts.SharedDir == "" {
@@ -318,25 +291,13 @@ func New(opts Options) (*Master, error) {
 	}
 	store, err := bucket.NewFileStore(dir, baseURL)
 	if err != nil {
-		ln.Close()
-		if m.journal != nil {
-			m.journal.Close()
-		}
 		return nil, err
 	}
 	store.SetCompress(opts.Compress)
-	if err := store.SetCodec(opts.Codec); err != nil {
-		ln.Close()
-		if m.journal != nil {
-			m.journal.Close()
-		}
+	if err = store.SetCodec(opts.Codec); err != nil {
 		return nil, fmt.Errorf("master: %w", err)
 	}
-	if err := store.SetBlockEncoding(opts.BlockEncoding); err != nil {
-		ln.Close()
-		if m.journal != nil {
-			m.journal.Close()
-		}
+	if err = store.SetBlockEncoding(opts.BlockEncoding); err != nil {
 		return nil, fmt.Errorf("master: %w", err)
 	}
 	store.SetRowOnlyFetch(opts.RowOnlyFetch)
@@ -344,32 +305,32 @@ func New(opts Options) (*Master, error) {
 	store.SetMetrics(opts.Obs.M())
 	m.store = store
 
-	rpc := xmlrpc.NewServer()
-	rpc.Register(rpcproto.MethodSignin, m.handleSignin)
-	rpc.Register(rpcproto.MethodGetTask, m.handleGetTask)
-	rpc.Register(rpcproto.MethodGetTasks, m.handleGetTasks)
-	rpc.Register(rpcproto.MethodTaskDone, m.handleTaskDone)
-	rpc.Register(rpcproto.MethodTaskFailed, m.handleTaskFailed)
-	rpc.Register(rpcproto.MethodPing, m.handlePing)
-	rpc.Register(rpcproto.MethodReportBatch, m.handleReportBatch)
-	rpc.Register(rpcproto.MethodDrain, m.handleDrain)
-	rpc.Register(rpcproto.MethodListNodes, m.handleListNodes)
-
+	m.srv = node.New(m.sched, node.Config{
+		Name:           "master",
+		Prefix:         map[string]string{rpcproto.NodeKindSlave: "slave-", rpcproto.NodeKindSubmaster: "sm-"},
+		Heartbeat:      opts.HeartbeatInterval,
+		Timeout:        opts.HeartbeatTimeout,
+		Lease:          opts.TaskLease,
+		LongPoll:       opts.LongPoll,
+		BlacklistAfter: opts.BlacklistAfter,
+		Speculation: sched.SpeculationConfig{
+			SlownessFactor: opts.SpeculationFactor,
+			MinRuntime:     opts.SpeculationMinRuntime,
+		},
+		Clock:       opts.Clock,
+		Metrics:     opts.Obs.M(),
+		DrainMetric: obs.MetricMasterDrains,
+		BatchMetric: obs.MetricMasterBatchReports,
+		OnDone:      m.taskDone,
+		OnFail:      m.taskFailed,
+	})
+	m.registerGauges(opts.Obs)
 	mux := http.NewServeMux()
-	mux.Handle(xmlrpc.RPCPath, rpc)
+	mux.Handle(xmlrpc.RPCPath, m.srv.Handler())
 	mux.HandleFunc("/data/", m.serveData)
 	obs.RegisterDebug(mux, opts.Obs, m.statusPage)
 	m.httpSrv = &http.Server{Handler: mux}
-	go m.httpSrv.Serve(ln)
-	go m.reaper()
-	if opts.SpeculationFactor > 0 {
-		// Straggler scans run on their own cadence, tied to the
-		// speculation floor rather than the (much coarser) liveness
-		// timeout: a stalled attempt should be duplicated within a
-		// couple of MinRuntime periods.
-		m.specDone = make(chan struct{})
-		go m.speculator()
-	}
+	go m.httpSrv.Serve(m.ln)
 
 	if opts.PortFile != "" {
 		if err := os.WriteFile(opts.PortFile, []byte(m.addr+"\n"), 0o644); err != nil {
@@ -442,9 +403,13 @@ func (m *Master) URL() string { return "http://" + m.addr + xmlrpc.RPCPath }
 
 // Stats returns a snapshot of control-plane counters.
 func (m *Master) Stats() TaskStats {
+	ns := m.srv.Stats()
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.taskStats
+	st := m.taskStats
+	m.mu.Unlock()
+	st.TasksAssigned, st.TasksRequeued, st.Blacklisted = ns.Assigned.Load(), ns.Requeued.Load(), ns.Parked.Load()
+	st.SlavesSeen, st.SlavesLost = ns.Seen.Load(), ns.Lost.Load()
+	return st
 }
 
 // Scheduler exposes the scheduler (ablation benches).
@@ -533,546 +498,63 @@ func (m *Master) serveData(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---------------------------------------------------------------------------
-// RPC handlers
+// Node protocol: served by m.srv; the master adds stats, metrics and
+// the journal on top of what the scheduler accepts.
 
-func (m *Master) handleSignin(args []any) (any, error) {
-	node := rpcproto.DecodeSigninArgs(args)
-	if node.Kind == "" {
-		node.Kind = rpcproto.NodeKindSlave
-	}
+// taskDone records a completion the scheduler accepted (node.Config.OnDone).
+func (m *Master) taskDone(id string, jobID int64, spec *core.TaskSpec, result *core.TaskResult) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, fmt.Errorf("master: closed")
-	}
-	m.nextSlave++
-	prefix := "slave"
-	if node.Kind == rpcproto.NodeKindSubmaster {
-		prefix = "sm"
-	}
-	id := fmt.Sprintf("%s-%d", prefix, m.nextSlave)
-	m.slaves[id] = &slaveInfo{
-		id:       id,
-		kind:     node.Kind,
-		addr:     node.Addr,
-		slots:    node.Slots,
-		lastSeen: m.opts.Clock.Now(),
-	}
-	m.taskStats.SlavesSeen++
-	return rpcproto.SigninReply{
-		SlaveID:         id,
-		HeartbeatMillis: m.opts.HeartbeatInterval.Milliseconds(),
-	}.Encode(), nil
-}
-
-// touch refreshes a slave's liveness; returns false for unknown slaves
-// (e.g. ones already declared dead).
-func (m *Master) touch(slaveID string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	info, ok := m.slaves[slaveID]
-	if !ok {
-		return false
-	}
-	info.lastSeen = m.opts.Clock.Now()
-	return true
-}
-
-// unknownSlaveFault is the typed fault slaves key their re-signin on.
-func unknownSlaveFault(slaveID string) *xmlrpc.Fault {
-	return &xmlrpc.Fault{
-		Code:    rpcproto.FaultUnknownSlave,
-		Message: fmt.Sprintf("master: unknown slave %s (declared dead?)", slaveID),
-	}
-}
-
-func slaveIDArg(args []any) (string, error) {
-	if len(args) < 1 {
-		return "", fmt.Errorf("master: missing slave id")
-	}
-	id, ok := args[0].(string)
-	if !ok || id == "" {
-		return "", fmt.Errorf("master: bad slave id %v", args[0])
-	}
-	return id, nil
-}
-
-func (m *Master) handlePing(args []any) (any, error) {
-	id, err := slaveIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	if !m.touch(id) {
-		return nil, unknownSlaveFault(id)
-	}
-	return true, nil
-}
-
-func (m *Master) handleGetTask(args []any) (any, error) {
-	a, err := m.assignOne(args)
-	if err != nil {
-		return nil, err
-	}
-	return encodeAssignment(a)
-}
-
-// handleGetTasks is the batched fetch of the sub-master tier: one
-// get_task long poll for the first assignment, then a non-blocking
-// drain of up to max-1 more ready tasks, all in one round trip. A
-// sub-master refilling a whole shard's worth of idle slots pays one
-// RPC instead of one per task; the flat get_task protocol is
-// unchanged for leaves. args: (node, max).
-func (m *Master) handleGetTasks(args []any) (any, error) {
-	if len(args) < 2 {
-		return nil, fmt.Errorf("master: get_tasks wants (node, max)")
-	}
-	maxN, _ := args[1].(int64)
-	if maxN < 1 {
-		maxN = 1
-	}
-	first, err := m.assignOne(args[:1])
-	if err != nil {
-		return nil, err
-	}
-	as := []rpcproto.Assignment{first}
-	if first.Status == rpcproto.StatusTask {
-		id, _ := args[0].(string)
-		for int64(len(as)) < maxN {
-			task, attempt, err := m.sched.RequestAttempt(id, 0)
-			if err != nil || task == nil {
-				break
-			}
-			m.mu.Lock()
-			m.taskStats.TasksAssigned++
-			m.mu.Unlock()
-			as = append(as, rpcproto.Assignment{
-				Status:  rpcproto.StatusTask,
-				TaskID:  int64(task.ID),
-				Attempt: int64(attempt),
-				Spec:    task.Spec,
-			})
-		}
-	}
-	return rpcproto.EncodeAssignments(as)
-}
-
-// assignOne is the get_task body: liveness bookkeeping, one long poll
-// on the scheduler, then the piggybacked broadcasts.
-func (m *Master) assignOne(args []any) (rpcproto.Assignment, error) {
-	id, err := slaveIDArg(args)
-	if err != nil {
-		return rpcproto.Assignment{}, err
-	}
-	if !m.touch(id) {
-		return rpcproto.Assignment{}, unknownSlaveFault(id)
-	}
-	m.mu.Lock()
-	closed, crashed := m.closed, m.crashed
-	draining := false
-	if info := m.slaves[id]; info != nil && info.draining {
-		// Drain completion: the node's leases were already requeued by
-		// Drain; this poll carries the shutdown answer and the node is
-		// forgotten. Late task reports from it still resolve through
-		// the scheduler's stale-delivery tolerance.
-		draining = true
-		delete(m.slaves, id)
-	}
+	m.taskStats.TasksDone++
+	js := m.jobStatsLocked(core.JobID(jobID))
+	js.TasksDone++
+	js.ShuffleBytes += result.Timing.InBytes
 	m.mu.Unlock()
-	if draining {
-		return m.withBroadcasts(id, rpcproto.Assignment{Status: rpcproto.StatusShutdown}), nil
-	}
-	if closed {
-		if crashed {
-			// A crashing master must not tell the fleet to shut down —
-			// a plain error makes slaves back off and retry until the
-			// restarted master answers.
-			return rpcproto.Assignment{}, fmt.Errorf("master: unavailable (crashing)")
-		}
-		return m.withBroadcasts(id, rpcproto.Assignment{Status: rpcproto.StatusShutdown}), nil
-	}
-	if m.blacklisted(id) {
-		// Park the repeat offender for a long-poll period so it paces
-		// itself like an idle slave, then send it away empty-handed.
-		time.Sleep(m.opts.LongPoll)
-		m.touch(id)
-		m.mu.Lock()
-		m.taskStats.Blacklisted++
-		m.mu.Unlock()
-		return m.withBroadcasts(id, rpcproto.Assignment{Status: rpcproto.StatusIdle}), nil
-	}
-	task, attempt, err := m.sched.RequestAttempt(id, m.opts.LongPoll)
-	if err == sched.ErrClosed {
-		m.mu.Lock()
-		crashed = m.crashed
-		m.mu.Unlock()
-		if crashed {
-			return rpcproto.Assignment{}, fmt.Errorf("master: unavailable (crashing)")
-		}
-		return m.withBroadcasts(id, rpcproto.Assignment{Status: rpcproto.StatusShutdown}), nil
-	}
-	if err != nil {
-		return rpcproto.Assignment{}, err
-	}
-	m.touch(id) // the long poll may have taken a while
-	if task == nil {
-		return m.withBroadcasts(id, rpcproto.Assignment{Status: rpcproto.StatusIdle}), nil
-	}
-	m.mu.Lock()
-	m.taskStats.TasksAssigned++
-	m.mu.Unlock()
-	return m.withBroadcasts(id, rpcproto.Assignment{
-		Status:  rpcproto.StatusTask,
-		TaskID:  int64(task.ID),
-		Attempt: int64(attempt),
-		Spec:    task.Spec,
-	}), nil
-}
-
-// withBroadcasts attaches the node's queued deletes and job-GC ids to
-// a get_task answer. They are collected only once the answer is
-// settled, after the long poll: a Free queued while the node waited
-// then reaches it no later than the task it is handed, and the slave
-// applies deletes before dispatching that task — so a delete can never
-// land on a bucket that a later job, reusing the name, has just written.
-func (m *Master) withBroadcasts(id string, a rpcproto.Assignment) rpcproto.Assignment {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	a.Deletes = m.pendingDeletes[id]
-	delete(m.pendingDeletes, id)
-	a.GCJobs = m.pendingGC[id]
-	delete(m.pendingGC, id)
-	return a
-}
-
-// blacklisted reports whether the slave has failed enough tasks to be
-// parked rather than long-polled. Quarantine is per job inside the
-// scheduler (a slave blacklisted for one job still serves others);
-// only a slave blacklisted for *every* current job is parked here. The
-// last live slave is never blacklisted — a degraded worker beats a
-// deadlocked job.
-func (m *Master) blacklisted(id string) bool {
-	return m.sched.BlacklistedEverywhere(id)
-}
-
-func encodeAssignment(a rpcproto.Assignment) (any, error) {
-	enc, err := a.Encode()
-	if err != nil {
-		return nil, err
-	}
-	return enc, nil
-}
-
-func (m *Master) handleTaskDone(args []any) (any, error) {
-	if len(args) < 4 {
-		return nil, fmt.Errorf("master: task_done wants (slave, job, task, outputs[, timing])")
-	}
-	id, err := slaveIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	jobID, ok := args[1].(int64)
-	if !ok {
-		return nil, fmt.Errorf("master: bad job id %v", args[1])
-	}
-	taskID, ok := args[2].(int64)
-	if !ok {
-		return nil, fmt.Errorf("master: bad task id %v", args[2])
-	}
-	outputs, err := rpcproto.DecodeDescriptors(args[3])
-	if err != nil {
-		return nil, err
-	}
-	result := &core.TaskResult{Outputs: outputs}
-	if len(args) >= 5 {
-		// Optional measured cost breakdown from the executing slave.
-		result.Timing = rpcproto.DecodeTiming(args[4])
-	}
-	known := m.touch(id)
-	// Accept the result even from a slave this master doesn't know (it
-	// may have outlived a master restart); the scheduler sorts accepted
-	// completions from duplicate or stale ones.
-	if err := m.applyTaskDone(id, jobID, taskID, result); err != nil {
-		return nil, err
-	}
-	if !known {
-		// Processed anyway (above), but tell the slave to re-sign-in so
-		// its leases reconcile against this master's state.
-		return nil, unknownSlaveFault(id)
-	}
-	return true, nil
-}
-
-// applyTaskDone feeds one completion into the scheduler and, if
-// accepted, into stats, metrics, and the journal. Shared between
-// task_done (one report per RPC) and report_batch (a sub-master's
-// aggregated reports).
-func (m *Master) applyTaskDone(id string, jobID, taskID int64, result *core.TaskResult) error {
-	spec, err := m.sched.CompleteTask(sched.TaskID(taskID), id, result)
-	if err != nil {
-		return err
-	}
-	if spec != nil {
-		m.mu.Lock()
-		m.taskStats.TasksDone++
-		if info := m.slaves[id]; info != nil {
-			info.tasksDone++
-		}
-		js := m.jobStatsLocked(core.JobID(jobID))
-		js.TasksDone++
-		js.ShuffleBytes += result.Timing.InBytes
-		m.mu.Unlock()
-		mm := m.opts.Obs.M()
-		mm.Add(obs.JobSeries("mrs_job_tasks_done_total", jobID), 1)
-		mm.Add(obs.JobSeries("mrs_job_shuffle_bytes_total", jobID), result.Timing.InBytes)
-		if spec.Job != 0 {
-			m.journalAppend(journal.Event{
-				Kind:    journal.EvTaskDone,
-				Job:     int64(spec.Job),
-				Dataset: spec.Op.Dataset,
-				Task:    spec.TaskIndex,
-				Outputs: journal.FromDescriptors(result.Outputs),
-				InBytes: result.Timing.InBytes,
-				Node:    id,
-			})
-		}
+	mm := m.opts.Obs.M()
+	mm.Add(obs.JobSeries("mrs_job_tasks_done_total", jobID), 1)
+	mm.Add(obs.JobSeries("mrs_job_shuffle_bytes_total", jobID), result.Timing.InBytes)
+	if spec.Job != 0 {
+		m.journalAppend(journal.Event{
+			Kind:    journal.EvTaskDone,
+			Job:     int64(spec.Job),
+			Dataset: spec.Op.Dataset,
+			Task:    spec.TaskIndex,
+			Outputs: journal.FromDescriptors(result.Outputs),
+			InBytes: result.Timing.InBytes,
+			Node:    id,
+		})
 	}
 	if m.opts.DisableAffinity {
 		m.sched.ClearAffinity()
 	}
-	return nil
 }
 
-func (m *Master) handleTaskFailed(args []any) (any, error) {
-	if len(args) < 4 {
-		return nil, fmt.Errorf("master: task_failed wants (slave, job, task, message)")
-	}
-	id, err := slaveIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	jobID, ok := args[1].(int64)
-	if !ok {
-		return nil, fmt.Errorf("master: bad job id %v", args[1])
-	}
-	taskID, ok := args[2].(int64)
-	if !ok {
-		return nil, fmt.Errorf("master: bad task id %v", args[2])
-	}
-	msg, _ := args[3].(string)
-	known := m.touch(id)
-	if err := m.applyTaskFailed(id, jobID, taskID, msg); err != nil {
-		return nil, err
-	}
-	if !known {
-		return nil, unknownSlaveFault(id)
-	}
-	return true, nil
-}
-
-// applyTaskFailed is applyTaskDone's failure-path twin.
-func (m *Master) applyTaskFailed(id string, jobID, taskID int64, msg string) error {
+// taskFailed records a failure the scheduler took (node.Config.OnFail).
+func (m *Master) taskFailed(_ string, jobID, _ int64, _ string) {
 	m.mu.Lock()
 	m.taskStats.TasksFailed++
 	m.jobStatsLocked(core.JobID(jobID)).TasksFailed++
 	m.mu.Unlock()
 	m.opts.Obs.M().Add(obs.JobSeries("mrs_job_tasks_failed_total", jobID), 1)
-	return m.sched.Fail(sched.TaskID(taskID), id, msg)
 }
 
-// handleReportBatch accepts a sub-master's aggregated task outcomes:
-// (node, reports). Each report names its own job — a batch may span
-// jobs. Every report in the batch is applied even if one errors — a
-// batch is a transport optimization, not a transaction — and like
-// task_done, reports from an unknown node are processed before the
-// re-sign-in fault is returned.
-func (m *Master) handleReportBatch(args []any) (any, error) {
-	if len(args) < 2 {
-		return nil, fmt.Errorf("master: report_batch wants (node, reports)")
-	}
-	id, err := slaveIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	reports, err := rpcproto.DecodeReports(args[1])
-	if err != nil {
-		return nil, err
-	}
-	known := m.touch(id)
-	m.opts.Obs.M().Add(obs.MetricMasterBatchReports, 1)
-	var firstErr error
-	for _, r := range reports {
-		var err error
-		if r.Done {
-			err = m.applyTaskDone(id, r.Job, r.TaskID, &core.TaskResult{Outputs: r.Outputs, Timing: r.Timing})
-		} else {
-			err = m.applyTaskFailed(id, r.Job, r.TaskID, r.Err)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if !known {
-		return nil, unknownSlaveFault(id)
-	}
-	return true, nil
-}
-
-// handleDrain takes a node out of rotation by id or advertised
-// address: its leases requeue immediately and its next get_task
-// answers shutdown. args: (target).
-func (m *Master) handleDrain(args []any) (any, error) {
-	if len(args) < 1 {
-		return nil, fmt.Errorf("master: drain wants (node-id-or-addr)")
-	}
-	target, _ := args[0].(string)
-	if target == "" {
-		return nil, fmt.Errorf("master: bad drain target %v", args[0])
-	}
-	if !m.Drain(target) {
-		return nil, fmt.Errorf("master: drain: no node %q", target)
-	}
-	return true, nil
-}
-
-// Drain marks the node (by id or advertised address) draining and
-// returns its leases to the scheduler. Reports whether a node matched.
+// Drain takes a node (by id or advertised address) out of rotation:
+// its leases requeue and its next get_task answers shutdown. Reports
+// false for an unknown or already-draining node.
 func (m *Master) Drain(target string) bool {
-	m.mu.Lock()
-	var info *slaveInfo
-	if byID := m.slaves[target]; byID != nil {
-		info = byID
-	} else {
-		for _, si := range m.slaves {
-			if si.addr != "" && si.addr == target {
-				info = si
-				break
-			}
-		}
-	}
-	if info == nil {
-		m.mu.Unlock()
-		return false
-	}
-	info.draining = true
-	id := info.id
-	m.mu.Unlock()
-	m.opts.Obs.M().Add(obs.MetricMasterDrains, 1)
-	m.sched.Drain(id)
-	return true
-}
-
-func (m *Master) handleListNodes(args []any) (any, error) {
-	return rpcproto.EncodeNodeInfos(m.Nodes()), nil
+	ok, _ := m.srv.Drain(target)
+	return ok
 }
 
 // Nodes returns a snapshot of every signed-in node, sorted by id
 // (diagnostics, the status page, and the list_nodes RPC).
-func (m *Master) Nodes() []rpcproto.NodeInfo {
-	m.mu.Lock()
-	out := make([]rpcproto.NodeInfo, 0, len(m.slaves))
-	for _, si := range m.slaves {
-		kind := si.kind
-		if kind == "" {
-			kind = rpcproto.NodeKindSlave
-		}
-		out = append(out, rpcproto.NodeInfo{
-			ID:        si.id,
-			Kind:      kind,
-			Addr:      si.addr,
-			Slots:     si.slots,
-			TasksDone: si.tasksDone,
-			Draining:  si.draining,
-		})
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
+func (m *Master) Nodes() []rpcproto.NodeInfo { return m.srv.Nodes() }
 
-// ---------------------------------------------------------------------------
-// Liveness
+// NumSlaves returns the count of live nodes.
+func (m *Master) NumSlaves() int { return m.srv.NumNodes() }
 
-func (m *Master) reaper() {
-	defer close(m.reaperDone)
-	tick := m.opts.Clock.NewTicker(m.opts.HeartbeatTimeout / 2)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.reaperStop:
-			return
-		case <-tick.Chan():
-			cutoff := m.opts.Clock.Now().Add(-m.opts.HeartbeatTimeout)
-			var dead []string
-			m.mu.Lock()
-			for id, info := range m.slaves {
-				if info.lastSeen.Before(cutoff) {
-					dead = append(dead, id)
-					delete(m.slaves, id)
-					delete(m.pendingDeletes, id)
-					m.taskStats.SlavesLost++
-				}
-			}
-			m.mu.Unlock()
-			for _, id := range dead {
-				m.sched.SlaveDead(id)
-			}
-			if m.opts.TaskLease > 0 {
-				if n := m.sched.RequeueStale(m.opts.TaskLease); n > 0 {
-					m.mu.Lock()
-					m.taskStats.TasksRequeued += int64(n)
-					m.mu.Unlock()
-				}
-			}
-		}
-	}
-}
-
-// speculator periodically scans running attempts for stragglers and
-// queues duplicate attempts (sched.Speculate); started only when
-// Options.SpeculationFactor enables speculation.
-func (m *Master) speculator() {
-	defer close(m.specDone)
-	interval := m.opts.SpeculationMinRuntime / 2
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	tick := m.opts.Clock.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.reaperStop:
-			return
-		case <-tick.Chan():
-			m.sched.Speculate()
-		}
-	}
-}
-
-// NumSlaves returns the count of live slaves.
-func (m *Master) NumSlaves() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.slaves)
-}
-
-// WaitForSlaves blocks until at least n slaves are signed in.
+// WaitForSlaves blocks until at least n nodes are signed in.
 func (m *Master) WaitForSlaves(ctx context.Context, n int) error {
-	for {
-		if m.NumSlaves() >= n {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("master: waiting for %d slaves: %w", n, ctx.Err())
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
+	return m.srv.WaitNodes(ctx, func(have int) bool { return have >= n })
 }
 
 // ---------------------------------------------------------------------------
@@ -1132,6 +614,7 @@ func (m *Master) Free(mat *core.Materialized) {
 		// recovery needs them.
 		return
 	}
+	var deletes []string
 	for _, split := range mat.Splits {
 		for _, d := range split {
 			if d.Name == "" {
@@ -1141,14 +624,13 @@ func (m *Master) Free(mat *core.Materialized) {
 			case strings.HasPrefix(d.URL, "file://"), strings.HasPrefix(d.URL, "http://"+m.addr+"/"):
 				_ = m.store.Remove(d.Name)
 			default:
-				// Ask every live slave to delete; removal is
+				// Ask every live node to delete; removal is
 				// idempotent, so non-owners simply no-op.
-				for id := range m.slaves {
-					m.pendingDeletes[id] = append(m.pendingDeletes[id], d.Name)
-				}
+				deletes = append(deletes, d.Name)
 			}
 		}
 	}
+	m.srv.Broadcast(deletes, nil)
 }
 
 // jobComplete reclaims a finished managed job's runtime state: the
@@ -1166,9 +648,7 @@ func (m *Master) jobComplete(id core.JobID) {
 		m.mu.Unlock()
 		return
 	}
-	for sid := range m.slaves {
-		m.pendingGC[sid] = append(m.pendingGC[sid], int64(id))
-	}
+	m.srv.Broadcast(nil, []int64{int64(id)})
 	m.mu.Unlock()
 	_, _ = m.store.RemoveJob(int64(id))
 	m.sched.JobDone(id)
@@ -1177,15 +657,10 @@ func (m *Master) jobComplete(id core.JobID) {
 // Close implements core.Executor: it tells slaves to shut down (via
 // get_task) and stops serving.
 func (m *Master) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	jl, first := m.stop(false)
+	if !first {
 		return nil
 	}
-	m.closed = true
-	jl := m.journal
-	m.journal = nil
-	m.mu.Unlock()
 
 	// The journal must be checkpointed, fsynced, and unlocked BEFORE the
 	// scheduler closes: closing the scheduler fails the running jobs and
@@ -1197,11 +672,6 @@ func (m *Master) Close() error {
 	}
 
 	m.sched.Close()
-	close(m.reaperStop)
-	<-m.reaperDone
-	if m.specDone != nil {
-		<-m.specDone
-	}
 
 	// Closing the scheduler wakes every long-polled get_task, whose
 	// handlers then return shutdown. A short grace period lets slaves
@@ -1230,28 +700,35 @@ func (m *Master) Close() error {
 // off, and retry until a restarted master answers), no bucket data is
 // reclaimed, and the master's own directory is left on disk.
 func (m *Master) Crash() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	jl, first := m.stop(true)
+	if !first {
 		return nil
 	}
-	m.closed = true
-	m.crashed = true
-	jl := m.journal
-	m.journal = nil
-	m.mu.Unlock()
-
 	if jl != nil {
 		jl.Abandon()
 	}
 	// Abrupt: in-flight RPCs die mid-connection, exactly as on a kill.
 	m.httpSrv.Close()
 	m.sched.Close()
-	close(m.reaperStop)
-	<-m.reaperDone
-	if m.specDone != nil {
-		<-m.specDone
-	}
 	m.store.CloseIdle()
 	return nil
+}
+
+// stop marks the master closed (and crashed), detaches its journal and
+// stops the node server; first is false if it was already stopped.
+func (m *Master) stop(crash bool) (jl *journal.Journal, first bool) {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return nil, false
+	}
+	m.closed, m.crashed = true, crash
+	jl, m.journal = m.journal, nil
+	m.mu.Unlock()
+	if crash {
+		m.srv.Crash()
+	} else {
+		m.srv.Close()
+	}
+	return jl, true
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rpcproto"
 	"repro/internal/xmlrpc"
 )
@@ -111,9 +112,7 @@ func TestGetTaskAfterCloseIsShutdown(t *testing.T) {
 	}
 	reply := signin(t, m)
 	// Closing in the background while a long poll could be in flight.
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
+	m.srv.Close()
 	raw, err := client(m).Call(rpcproto.MethodGetTask, reply.SlaveID)
 	if err != nil {
 		t.Fatal(err)
@@ -125,9 +124,6 @@ func TestGetTaskAfterCloseIsShutdown(t *testing.T) {
 	if a.Status != rpcproto.StatusShutdown {
 		t.Errorf("status = %q, want shutdown", a.Status)
 	}
-	m.mu.Lock()
-	m.closed = false
-	m.mu.Unlock()
 	m.Close()
 }
 
@@ -288,5 +284,38 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := m.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+func TestDrainRules(t *testing.T) {
+	// An unknown target is a fault; a repeat drain is a no-op answering
+	// false, counted once.
+	rt := obs.New(nil)
+	m := newMaster(t, Options{Obs: rt})
+	id := signin(t, m).SlaveID
+	c := client(m)
+	if _, err := c.Call(rpcproto.MethodDrain, "no-such-node"); err == nil {
+		t.Error("drain of an unknown target answered without a fault")
+	}
+	if ok, err := c.Call(rpcproto.MethodDrain, id); err != nil || ok != true {
+		t.Fatalf("drain = %v, %v; want true", ok, err)
+	}
+	if ok, err := c.Call(rpcproto.MethodDrain, id); err != nil || ok != false {
+		t.Errorf("repeat drain = %v, %v; want false, no fault", ok, err)
+	}
+	if m.Drain(id) {
+		t.Error("Drain of a draining node reported true")
+	}
+	if got := rt.M().Get(obs.MetricMasterDrains); got != 1 {
+		t.Errorf("drains counted %d times, want 1", got)
+	}
+}
+
+func TestSigninSlotsFloor(t *testing.T) {
+	// A node advertising no slots (a pre-tree slave) counts as one.
+	m := newMaster(t, Options{})
+	signin(t, m)
+	if nodes := m.Nodes(); len(nodes) != 1 || nodes[0].Slots != 1 {
+		t.Errorf("nodes = %+v, want one node with 1 slot", nodes)
 	}
 }

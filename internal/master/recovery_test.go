@@ -3,7 +3,7 @@ package master
 // Deterministic crash-recovery tests: no real slaves, no real time. The
 // test is the fleet — it pulls tasks straight from the scheduler,
 // executes them with core.ExecTask against the shared-dir store, and
-// reports completions through the same handleTaskDone path slaves use.
+// reports completions through the same task_done handler slaves use.
 // The fake clock freezes heartbeats and leases, so exactly the
 // completions the test delivers are the completions that happen.
 
@@ -104,7 +104,7 @@ func recoveryMaster(t *testing.T, sharedDir, journalDir string, rt *obs.Runtime)
 
 func recoveryEnv(t *testing.T, m *Master) (*core.TaskEnv, string) {
 	t.Helper()
-	raw, err := m.handleSignin(nil)
+	raw, err := m.srv.Handlers()[rpcproto.MethodSignin](nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func pump(t *testing.T, m *Master, env *core.TaskEnv, slaveID string, limit int,
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.handleTaskDone([]any{
+		if _, err := m.srv.Handlers()[rpcproto.MethodTaskDone]([]any{
 			slaveID, int64(task.Spec.Job), int64(task.ID),
 			rpcproto.EncodeDescriptors(res.Outputs), rpcproto.EncodeTiming(res.Timing),
 		}); err != nil {

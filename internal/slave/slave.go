@@ -1,6 +1,7 @@
 // Package slave implements the worker process: it signs in with the
-// master, heartbeats, pulls tasks, executes them with the shared task
-// engine from internal/core, and serves its output buckets to peers
+// master and heartbeats through a node.Uplink (shared with the
+// sub-master), pulls tasks, executes them with the shared task engine
+// from internal/core, and serves its output buckets to peers
 // over a built-in HTTP server (§IV-B's "direct communication" path) or
 // stages them on a shared filesystem (the fault-tolerant path).
 //
@@ -25,6 +26,7 @@ package slave
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -32,11 +34,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bucket"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/rpcproto"
 	"repro/internal/xmlrpc"
@@ -108,7 +110,7 @@ type Options struct {
 type Slave struct {
 	opts    Options
 	reg     *core.Registry
-	client  *xmlrpc.Client
+	up      *node.Uplink // signin, heartbeat, reports toward the master
 	store   *bucket.Store
 	env     *core.TaskEnv
 	ln      net.Listener
@@ -116,9 +118,6 @@ type Slave struct {
 	ownsDir string
 	logger  *log.Logger
 	retry   *fault.Backoff
-
-	idMu sync.Mutex
-	id   string // master-assigned; rewritten on re-signin
 
 	// Task slots: a slot is acquired before polling get_task, so the
 	// slave never asks for work it cannot start immediately.
@@ -138,14 +137,13 @@ type Slave struct {
 	// and the job GC broadcast can reclaim a job's entries in one call.
 	resident *core.ResidentCache
 
-	tasksRun  atomic.Int64
-	resignins atomic.Int64
-	jobGCs    atomic.Int64
-	stopHB    chan struct{}
+	tasksRun atomic.Int64
+	jobGCs   atomic.Int64
+	stopHB   chan struct{}
 }
 
 // New prepares a slave (listening for data but not yet signed in).
-func New(reg *core.Registry, opts Options) (*Slave, error) {
+func New(reg *core.Registry, opts Options) (_ *Slave, err error) {
 	if opts.MasterAddr == "" {
 		return nil, fmt.Errorf("slave: MasterAddr required")
 	}
@@ -160,8 +158,7 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 	}
 	logger := opts.Logger
 	if logger == nil {
-		logger = log.New(os.Stderr, "", 0)
-		logger.SetOutput(discard{})
+		logger = log.New(io.Discard, "", 0)
 	}
 	seed := opts.BackoffSeed
 	if seed == 0 {
@@ -170,7 +167,6 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 	s := &Slave{
 		opts:    opts,
 		reg:     reg,
-		client:  xmlrpc.NewClient("http://" + opts.MasterAddr + xmlrpc.RPCPath),
 		logger:  logger,
 		retry:   fault.NewBackoff(seed),
 		stopHB:  make(chan struct{}),
@@ -178,7 +174,27 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 		envs:    map[core.JobID]*core.TaskEnv{},
 		jobDirs: map[core.JobID]string{},
 	}
-	s.client.Intercept = opts.RPCIntercept
+	s.up = node.NewUplink(node.UplinkConfig{
+		Name:           "slave",
+		Parent:         opts.MasterAddr,
+		Retry:          s.retry,
+		Logger:         logger,
+		Intercept:      opts.RPCIntercept,
+		Args:           s.signinArgs,
+		Metrics:        opts.Obs.M(),
+		ResigninMetric: "mrs_slave_resignins_total",
+	})
+	defer func() {
+		if err == nil {
+			return
+		}
+		if s.ln != nil {
+			s.ln.Close()
+		}
+		if s.ownsDir != "" {
+			os.RemoveAll(s.ownsDir)
+		}
+	}()
 
 	dir := opts.Dir
 	if opts.SharedDir != "" {
@@ -194,18 +210,13 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 
 	baseURL := ""
 	if opts.SharedDir == "" {
-		ln, err := net.Listen("tcp", opts.Addr)
-		if err != nil {
+		if s.ln, err = net.Listen("tcp", opts.Addr); err != nil {
 			return nil, fmt.Errorf("slave: listen %s: %w", opts.Addr, err)
 		}
-		s.ln = ln
-		baseURL = "http://" + ln.Addr().String() + "/data"
+		baseURL = "http://" + s.ln.Addr().String() + "/data"
 	}
 	store, err := bucket.NewFileStore(dir, baseURL)
 	if err != nil {
-		if s.ln != nil {
-			s.ln.Close()
-		}
 		return nil, err
 	}
 	s.store = store
@@ -213,16 +224,10 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 		store.SetHTTPClient(opts.DataClient)
 	}
 	store.SetCompress(opts.Compress)
-	if err := store.SetCodec(opts.Codec); err != nil {
-		if s.ln != nil {
-			s.ln.Close()
-		}
+	if err = store.SetCodec(opts.Codec); err != nil {
 		return nil, fmt.Errorf("slave: %w", err)
 	}
-	if err := store.SetBlockEncoding(opts.BlockEncoding); err != nil {
-		if s.ln != nil {
-			s.ln.Close()
-		}
+	if err = store.SetBlockEncoding(opts.BlockEncoding); err != nil {
 		return nil, fmt.Errorf("slave: %w", err)
 	}
 	store.SetRowOnlyFetch(opts.RowOnlyFetch)
@@ -250,10 +255,6 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 	return s, nil
 }
 
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
 // DataAddr returns the data server address ("" in shared-dir mode).
 func (s *Slave) DataAddr() string {
 	if s.ln == nil {
@@ -263,17 +264,7 @@ func (s *Slave) DataAddr() string {
 }
 
 // ID returns the master-assigned slave id (empty before signin).
-func (s *Slave) ID() string {
-	s.idMu.Lock()
-	defer s.idMu.Unlock()
-	return s.id
-}
-
-func (s *Slave) setID(id string) {
-	s.idMu.Lock()
-	s.id = id
-	s.idMu.Unlock()
-}
+func (s *Slave) ID() string { return s.up.ID() }
 
 // TasksRun returns how many tasks this slave has executed.
 func (s *Slave) TasksRun() int64 { return s.tasksRun.Load() }
@@ -295,7 +286,7 @@ func (s *Slave) ResidentSplits() int { return s.resident.Len() }
 
 // Resignins returns how many times the slave re-signed in after the
 // master declared it dead (e.g. it hung past the heartbeat timeout).
-func (s *Slave) Resignins() int64 { return s.resignins.Load() }
+func (s *Slave) Resignins() int64 { return s.up.Resignins() }
 
 func (s *Slave) serveData(w http.ResponseWriter, r *http.Request) {
 	s.store.ServeData(w, r, strings.TrimPrefix(r.URL.Path, "/data/"))
@@ -307,13 +298,10 @@ func (s *Slave) Run(ctx context.Context) error {
 	defer s.cleanup()
 	defer s.wg.Wait() // drain in-flight tasks before tearing down
 
-	reply, err := s.signin(ctx)
-	if err != nil {
+	if err := s.up.Signin(ctx); err != nil {
 		return err
 	}
-	s.setID(reply.SlaveID)
-	interval := time.Duration(reply.HeartbeatMillis) * time.Millisecond
-	go s.heartbeat(interval)
+	go s.up.Heartbeat(s.stopHB)
 	defer close(s.stopHB)
 
 	consecutiveErrs := 0
@@ -328,33 +316,13 @@ func (s *Slave) Run(ctx context.Context) error {
 		}
 		release := func() { <-s.sem }
 		id := s.ID()
-		raw, err := s.client.Call(rpcproto.MethodGetTask, id)
+		raw, err := s.up.Client.Call(rpcproto.MethodGetTask, id)
 		if err != nil {
 			release()
-			if rpcproto.IsUnknownSlave(err) {
-				// The master reaped us (we hung or our heartbeats were
-				// lost past the timeout), or it restarted from its
-				// journal and has never met us. Either way our old
-				// tasks were requeued or replayed; rejoin under a fresh
-				// identity rather than dying.
-				s.logger.Printf("slave %s: declared dead by master; re-signing in", id)
-				reply, err := s.signin(ctx)
-				if err != nil {
-					return fmt.Errorf("slave: re-signin after being declared dead: %w", err)
-				}
-				s.setID(reply.SlaveID)
-				s.resignins.Add(1)
-				s.opts.Obs.M().Add("mrs_slave_resignins_total", 1)
-				consecutiveErrs = 0
-				continue
-			}
-			consecutiveErrs++
-			s.logger.Printf("slave %s: get_task: %v", id, err)
-			if consecutiveErrs >= s.opts.MaxConsecutiveRPCErrors {
-				return fmt.Errorf("slave: master unreachable: %w", err)
-			}
-			if !sleepCtx(ctx, s.retry.Delay(consecutiveErrs)) {
-				return ctx.Err()
+			// Declared dead or unknown after a master restart: our old
+			// tasks were requeued or replayed, so rejoin, don't die.
+			if err := s.up.PollFailed(ctx, id, err, &consecutiveErrs, s.opts.MaxConsecutiveRPCErrors); err != nil {
+				return err
 			}
 			continue
 		}
@@ -388,29 +356,24 @@ func (s *Slave) Run(ctx context.Context) error {
 	}
 }
 
-// reportRetries bounds task_done/task_failed delivery attempts. Losing
-// a report is survivable (the master's task lease reclaims the
-// assignment) but expensive, so reports retry harder than polls.
-const reportRetries = 6
-
 func (s *Slave) runTask(a rpcproto.Assignment) {
 	id := s.ID()
 	job := int64(a.Spec.Job)
 	env, err := s.envFor(a.Spec.Job)
 	if err != nil {
 		s.logger.Printf("slave %s: job %d env: %v", id, job, err)
-		s.report(rpcproto.MethodTaskFailed, id, job, a.TaskID, err.Error())
+		s.up.Report(rpcproto.MethodTaskFailed, id, job, a.TaskID, err.Error())
 		return
 	}
 	result, err := core.ExecTask(env, a.Spec)
 	s.tasksRun.Add(1)
 	if err != nil {
 		s.logger.Printf("slave %s: task %d (attempt %d) failed: %v", id, a.TaskID, a.Attempt, err)
-		s.report(rpcproto.MethodTaskFailed, id, job, a.TaskID, err.Error())
+		s.up.Report(rpcproto.MethodTaskFailed, id, job, a.TaskID, err.Error())
 		return
 	}
 	outputs := rpcproto.EncodeDescriptors(result.Outputs)
-	s.report(rpcproto.MethodTaskDone, id, job, a.TaskID, outputs, rpcproto.EncodeTiming(result.Timing))
+	s.up.Report(rpcproto.MethodTaskDone, id, job, a.TaskID, outputs, rpcproto.EncodeTiming(result.Timing))
 }
 
 // envFor returns the task environment for a job. Job 0 (the unmanaged
@@ -466,77 +429,12 @@ func (s *Slave) gcJob(job core.JobID) {
 	}
 }
 
-// report delivers a task outcome with retries and backoff. Transport
-// errors (including injected drops, where the master may already have
-// processed the call) are retried — the master treats redelivery
-// idempotently. Server-side faults are final: retrying a call the
-// master rejected cannot succeed.
-func (s *Slave) report(method string, args ...any) {
-	var lastErr error
-	for attempt := 1; attempt <= reportRetries; attempt++ {
-		if attempt > 1 {
-			time.Sleep(s.retry.Delay(attempt - 1))
-		}
-		_, err := s.client.Call(method, args...)
-		if err == nil {
-			return
-		}
-		lastErr = err
-		if rpcproto.IsUnknownSlave(err) {
-			// A master that restarted from its journal (or reaped us)
-			// processed the report before faulting — task state is
-			// reconciled idempotently there, and the main loop's next
-			// get_task re-signs us in. Nothing to retry, nothing lost.
-			s.logger.Printf("slave %s: %s acknowledged by a master that no longer knows us; will re-sign-in", s.ID(), method)
-			return
-		}
-		if _, isFault := err.(*xmlrpc.Fault); isFault {
-			break
-		}
-	}
-	s.logger.Printf("slave %s: %s undelivered: %v", s.ID(), method, lastErr)
-}
-
-func (s *Slave) signin(ctx context.Context) (rpcproto.SigninReply, error) {
-	var lastErr error
-	for attempt := 0; attempt < 20; attempt++ {
-		select {
-		case <-ctx.Done():
-			return rpcproto.SigninReply{}, ctx.Err()
-		default:
-		}
-		// Advertise kind, data address, and slot count; a pre-tree
-		// master ignores the argument, so both directions interoperate.
-		node := rpcproto.SigninArgs{
-			Kind:  rpcproto.NodeKindSlave,
-			Addr:  s.DataAddr(),
-			Slots: int64(s.opts.Concurrency),
-		}
-		raw, err := s.client.Call(rpcproto.MethodSignin, node.Encode())
-		if err == nil {
-			return rpcproto.DecodeSigninReply(raw)
-		}
-		lastErr = err
-		if !sleepCtx(ctx, s.retry.Delay(attempt+1)) {
-			return rpcproto.SigninReply{}, ctx.Err()
-		}
-	}
-	return rpcproto.SigninReply{}, fmt.Errorf("slave: signin failed: %w", lastErr)
-}
-
-func (s *Slave) heartbeat(interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stopHB:
-			return
-		case <-tick.C:
-			id := s.ID()
-			if _, err := s.client.Call(rpcproto.MethodPing, id); err != nil {
-				s.logger.Printf("slave %s: ping: %v", id, err)
-			}
-		}
+// signinArgs advertises kind, data address, and slot count.
+func (s *Slave) signinArgs() rpcproto.SigninArgs {
+	return rpcproto.SigninArgs{
+		Kind:  rpcproto.NodeKindSlave,
+		Addr:  s.DataAddr(),
+		Slots: int64(s.opts.Concurrency),
 	}
 }
 
@@ -547,7 +445,7 @@ func (s *Slave) cleanup() {
 	// Release pooled data-plane and control-plane connections so peers
 	// and the master can shut their servers down gracefully.
 	s.store.CloseIdle()
-	s.client.CloseIdle()
+	s.up.Client.CloseIdle()
 	s.envMu.Lock()
 	dirs := s.jobDirs
 	s.jobDirs = map[core.JobID]string{}
@@ -558,14 +456,5 @@ func (s *Slave) cleanup() {
 	}
 	if s.ownsDir != "" {
 		os.RemoveAll(s.ownsDir)
-	}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	select {
-	case <-ctx.Done():
-		return false
-	case <-time.After(d):
-		return true
 	}
 }

@@ -1,43 +1,38 @@
 // Package submaster implements the middle tier of the hierarchical
 // control plane: a node that signs in to the master as one aggregated
-// worker group while serving the full master↔node protocol to a shard
-// of the fleet. Unmodified slaves attach to a sub-master exactly as
-// they would to the master — signin, get_task, task_done, task_failed,
-// ping — and never learn the tree exists.
+// worker group while serving the master↔node protocol to a shard of
+// the fleet. Unmodified slaves attach to it exactly as to the master.
 //
-// Downward, a sub-master owns its shard: child signins, heartbeats and
-// reaping, a local sched.Scheduler instance that dispatches the work
-// the sub-master holds a lease on, a local retry budget that absorbs
-// transient child failures without a master round trip, and fan-out of
-// the master's piggybacked delete/GC broadcasts. Upward, it behaves
-// like one wide slave: it polls get_tasks only while its children have
-// idle slots (demand-driven fetch, one poll in flight), batches its children's task outcomes into report_batch RPCs,
-// and heartbeats under a single identity. If the master restarts and
-// answers with the unknown-slave fault, the sub-master re-signs in
-// under a fresh id without disturbing its children — they only ever
-// knew the sub-master's address, so crash-resume composes with the
-// tree.
+// Downward it runs the same node.Server the master runs, over a local
+// sched.Scheduler holding the work this node has leased. Its own parts
+// are a local retry budget that absorbs transient child failures
+// without a master round trip, and the upward side, a node.Uplink
+// through which it acts as one wide slave: it polls get_tasks only
+// while children have idle slots (one poll in flight), batches child
+// outcomes into report_batch RPCs, and re-signs in after a master
+// restart without disturbing its children, who only know its address.
 //
-// The sub-master carries no data plane. Task payloads flow directly
-// between slaves' bucket servers (or the shared filesystem) exactly as
-// in the flat topology; only control traffic is aggregated here.
-// See docs/DESIGN.md ("Hierarchical control plane").
+// The sub-master carries no data plane: task payloads flow between
+// slaves' bucket servers (or the shared filesystem) as in the flat
+// topology. See DESIGN.md §9 ("Hierarchical control plane").
 package submaster
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/rpcproto"
 	"repro/internal/sched"
@@ -98,45 +93,27 @@ type Options struct {
 	DrainLinger time.Duration
 }
 
-type childInfo struct {
-	id       string
-	addr     string
-	slots    int64
-	lastSeen time.Time
-	draining bool
-	tasks    atomic.Int64
-}
-
 // SubMaster is one middle-tier node.
 type SubMaster struct {
 	opts    Options
-	client  *xmlrpc.Client
+	up      *node.Uplink // toward the master
 	sched   *sched.Scheduler
+	srv     *node.Server // toward the children, over sched
 	ln      net.Listener
 	httpSrv *http.Server
 	addr    string
 	logger  *log.Logger
-	retry   *fault.Backoff
 
-	idMu     sync.Mutex
-	id       string // master-assigned; rewritten on upward re-signin
-	hbMillis int64  // parent-chosen heartbeat interval
+	mu     sync.Mutex
+	used   int // slots held by fetched or in-flight tasks
+	runErr error
+	freed  chan struct{} // kicked when slots return to the pool
 
-	mu             sync.Mutex
-	slotCond       *sync.Cond // waits for used < capacity
-	children       map[string]*childInfo
-	nextChild      int
-	pendingDeletes map[string][]string
-	pendingGC      map[string][]int64
-	capacity       int // aggregate child slots
-	used           int // slots held by fetched or in-flight tasks
-	closing        bool
-
-	// local maps a local sched task id to its parent-lease bookkeeping;
-	// an entry present after sched.Fail means the failure was absorbed
-	// by the local retry budget rather than escalated.
+	// local holds the local sched ids of unresolved tasks; one still
+	// present after sched.Fail means the failure was absorbed by the
+	// local retry budget rather than escalated.
 	localMu sync.Mutex
-	local   map[sched.TaskID]*localTask
+	local   map[sched.TaskID]bool
 
 	reportMu sync.Mutex
 	reports  []rpcproto.Report
@@ -144,92 +121,69 @@ type SubMaster struct {
 
 	stop     chan struct{} // closed by beginShutdown
 	stopOnce sync.Once
-	stopHB   chan struct{}
-	runErr   error
 	wg       sync.WaitGroup // fetchers
 
 	tasksFetched atomic.Int64
-	resignins    atomic.Int64
-}
-
-type localTask struct {
-	job      int64
-	parentID int64
 }
 
 // New prepares a sub-master: listening for children but not yet signed
 // in upward (Run does that).
 func New(opts Options) (*SubMaster, error) {
+	return newSubMaster(opts, clock.Real{})
+}
+
+// newSubMaster is New with the clock that drives child liveness, the
+// local scheduler's long polls, and speculation.
+func newSubMaster(opts Options, clk clock.Clock) (*SubMaster, error) {
 	if opts.MasterAddr == "" {
 		return nil, fmt.Errorf("submaster: MasterAddr required")
 	}
 	if opts.Addr == "" {
 		opts.Addr = "127.0.0.1:0"
 	}
-	if opts.MaxConsecutiveRPCErrors <= 0 {
-		opts.MaxConsecutiveRPCErrors = 10
-	}
-	if opts.FetchBatch <= 0 {
-		opts.FetchBatch = 16
-	}
-	if opts.FlushInterval <= 0 {
-		opts.FlushInterval = 5 * time.Millisecond
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 64
-	}
-	if opts.LocalAttempts <= 0 {
-		opts.LocalAttempts = 2
-	}
-	if opts.LongPoll <= 0 {
-		opts.LongPoll = time.Second
-	}
-	if opts.HeartbeatInterval <= 0 {
-		opts.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if opts.HeartbeatTimeout <= 0 {
-		opts.HeartbeatTimeout = 5 * time.Second
-	}
-	if opts.DrainLinger <= 0 {
-		opts.DrainLinger = 3 * time.Second
-	}
+	orDefault(&opts.MaxConsecutiveRPCErrors, 10)
+	orDefault(&opts.FetchBatch, 16)
+	orDefault(&opts.FlushInterval, 5*time.Millisecond)
+	orDefault(&opts.MaxBatch, 64)
+	orDefault(&opts.LocalAttempts, 2)
+	orDefault(&opts.LongPoll, time.Second)
+	orDefault(&opts.HeartbeatInterval, 500*time.Millisecond)
+	orDefault(&opts.HeartbeatTimeout, 5*time.Second)
+	orDefault(&opts.DrainLinger, 3*time.Second)
+	orDefault(&opts.BackoffSeed, 1)
 	logger := opts.Logger
 	if logger == nil {
-		logger = log.New(discard{}, "", 0)
-	}
-	seed := opts.BackoffSeed
-	if seed == 0 {
-		seed = 1
+		logger = log.New(io.Discard, "", 0)
 	}
 	s := &SubMaster{
-		opts:           opts,
-		client:         xmlrpc.NewClient("http://" + opts.MasterAddr + xmlrpc.RPCPath),
-		logger:         logger,
-		retry:          fault.NewBackoff(seed),
-		children:       map[string]*childInfo{},
-		pendingDeletes: map[string][]string{},
-		pendingGC:      map[string][]int64{},
-		local:          map[sched.TaskID]*localTask{},
-		kick:           make(chan struct{}, 1),
-		stop:           make(chan struct{}),
-		stopHB:         make(chan struct{}),
-		hbMillis:       opts.HeartbeatInterval.Milliseconds(),
+		opts:   opts,
+		logger: logger,
+		freed:  make(chan struct{}, 1),
+		local:  map[sched.TaskID]bool{},
+		kick:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
 	}
-	s.client.Intercept = opts.RPCIntercept
-	s.slotCond = sync.NewCond(&s.mu)
 
 	// The local scheduler dispatches the leases this node holds. Its
 	// observer is the shared runtime: with worker-keyed trace spans the
 	// child-level attempt lane coexists with the master's node-level
 	// lane for the same trace id, which is exactly the two-level view
 	// docs/OBSERVABILITY.md describes.
-	s.sched = sched.New(opts.LocalAttempts)
+	s.sched = sched.NewWithClock(opts.LocalAttempts, clk)
 	if opts.Obs != nil {
 		s.sched.SetObserver(opts.Obs)
 	}
-	if opts.SpeculationFactor > 0 {
-		s.sched.SetSpeculation(sched.SpeculationConfig{SlownessFactor: opts.SpeculationFactor})
-	}
+	s.up = node.NewUplink(node.UplinkConfig{
+		Name:           "submaster",
+		Parent:         opts.MasterAddr,
+		Retry:          fault.NewBackoff(opts.BackoffSeed),
+		Logger:         logger,
+		Intercept:      opts.RPCIntercept,
+		Args:           s.signinArgs,
+		OnSignin:       func(id string, hb time.Duration) { s.srv.SetParent(id, hb) },
+		Metrics:        opts.Obs.M(),
+		ResigninMetric: obs.MetricSubmasterResignins,
+	})
 
 	ln, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
@@ -238,47 +192,44 @@ func New(opts Options) (*SubMaster, error) {
 	s.ln = ln
 	s.addr = ln.Addr().String()
 
-	rpc := xmlrpc.NewServer()
-	rpc.Register(rpcproto.MethodSignin, s.handleSignin)
-	rpc.Register(rpcproto.MethodGetTask, s.handleGetTask)
-	rpc.Register(rpcproto.MethodTaskDone, s.handleTaskDone)
-	rpc.Register(rpcproto.MethodTaskFailed, s.handleTaskFailed)
-	rpc.Register(rpcproto.MethodPing, s.handlePing)
-	rpc.Register(rpcproto.MethodDrain, s.handleDrain)
-	rpc.Register(rpcproto.MethodListNodes, s.handleListNodes)
+	s.srv = node.New(s.sched, node.Config{
+		Name:         "submaster",
+		Prefix:       map[string]string{rpcproto.NodeKindSlave: "c"},
+		Heartbeat:    opts.HeartbeatInterval,
+		Timeout:      opts.HeartbeatTimeout,
+		LongPoll:     opts.LongPoll,
+		Speculation:  sched.SpeculationConfig{SlownessFactor: opts.SpeculationFactor},
+		Clock:        clk,
+		Metrics:      opts.Obs.M(),
+		SigninMetric: obs.MetricSubmasterChildSignins,
+		OnFail:       s.childFailed,
+	})
 	mux := http.NewServeMux()
-	mux.Handle(xmlrpc.RPCPath, rpc)
+	mux.Handle(xmlrpc.RPCPath, s.srv.Handler())
 	s.httpSrv = &http.Server{Handler: mux}
 	go s.httpSrv.Serve(ln)
 
 	if opts.PortFile != "" {
 		if err := os.WriteFile(opts.PortFile, []byte(s.addr+"\n"), 0o644); err != nil {
-			s.httpSrv.Close()
+			s.cleanup()
 			return nil, fmt.Errorf("submaster: writing port file: %w", err)
 		}
 	}
 	return s, nil
 }
 
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
+// orDefault replaces a non-positive option with its default.
+func orDefault[T int | uint64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
 
 // Addr returns the child-facing control address.
 func (s *SubMaster) Addr() string { return s.addr }
 
 // ID returns the master-assigned node id (empty before signin).
-func (s *SubMaster) ID() string {
-	s.idMu.Lock()
-	defer s.idMu.Unlock()
-	return s.id
-}
-
-func (s *SubMaster) setID(id string) {
-	s.idMu.Lock()
-	s.id = id
-	s.idMu.Unlock()
-}
+func (s *SubMaster) ID() string { return s.up.ID() }
 
 // TasksFetched returns how many assignments this node pulled from the
 // master.
@@ -286,29 +237,17 @@ func (s *SubMaster) TasksFetched() int64 { return s.tasksFetched.Load() }
 
 // Resignins returns how many times this node re-signed in upward after
 // the master stopped recognizing it.
-func (s *SubMaster) Resignins() int64 { return s.resignins.Load() }
+func (s *SubMaster) Resignins() int64 { return s.up.Resignins() }
 
 // ChildCount returns how many children are currently signed in.
-func (s *SubMaster) ChildCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.children)
-}
+func (s *SubMaster) ChildCount() int { return s.srv.NumNodes() }
 
-// WaitForChildren blocks until n children have signed in.
-func (s *SubMaster) WaitForChildren(ctx context.Context, n int) error {
-	for {
-		if s.ChildCount() >= n {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-s.stop:
-			return fmt.Errorf("submaster: shut down while waiting for children")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
+// DrainChild takes a child (by id or address) out of rotation: its
+// leases requeue into the local scheduler and its next get_task
+// answers shutdown. False for an unknown or already-draining child.
+func (s *SubMaster) DrainChild(target string) bool {
+	ok, _ := s.srv.Drain(target)
+	return ok
 }
 
 // Run signs in upward and relays work until the master shuts down, the
@@ -316,20 +255,13 @@ func (s *SubMaster) WaitForChildren(ctx context.Context, n int) error {
 func (s *SubMaster) Run(ctx context.Context) error {
 	defer s.cleanup()
 
-	reply, err := s.signinUpward(ctx)
-	if err != nil {
+	if err := s.up.Signin(ctx); err != nil {
 		return err
 	}
-	s.setID(reply.SlaveID)
-	s.idMu.Lock()
-	s.hbMillis = reply.HeartbeatMillis
-	s.idMu.Unlock()
 
-	go s.heartbeat(time.Duration(reply.HeartbeatMillis) * time.Millisecond)
-	defer close(s.stopHB)
-	reaperStop := make(chan struct{})
-	go s.childReaper(reaperStop)
-	defer close(reaperStop)
+	stopHB := make(chan struct{})
+	go s.up.Heartbeat(stopHB)
+	defer close(stopHB)
 	flusherDone := make(chan struct{})
 	go s.flusher(flusherDone)
 
@@ -356,9 +288,8 @@ func (s *SubMaster) Run(ctx context.Context) error {
 	}
 
 	s.mu.Lock()
-	err = s.runErr
-	s.mu.Unlock()
-	return err
+	defer s.mu.Unlock()
+	return s.runErr
 }
 
 // Close triggers shutdown from outside Run (tests, process teardown).
@@ -366,19 +297,17 @@ func (s *SubMaster) Close() {
 	s.beginShutdown(nil)
 }
 
-// beginShutdown transitions the node to draining: the local scheduler
-// closes (waking child polls into a shutdown answer) and fetchers stop.
+// beginShutdown transitions the node to draining: the node server
+// answers every child poll with shutdown, the local scheduler closes
+// (waking long-polled children into that answer) and fetchers stop.
 func (s *SubMaster) beginShutdown(err error) {
 	s.stopOnce.Do(func() {
-		s.mu.Lock()
-		s.closing = true
 		if err != nil {
+			s.mu.Lock()
 			s.runErr = err
+			s.mu.Unlock()
 		}
-		s.slotCond.Broadcast()
-		s.mu.Unlock()
-		// Outside s.mu: Close fires task callbacks, which take s.mu to
-		// release their slots.
+		s.srv.Close()
 		s.sched.Close()
 		close(s.stop)
 	})
@@ -388,116 +317,47 @@ func (s *SubMaster) beginShutdown(err error) {
 // child has polled its shutdown status (or DrainLinger elapses), so
 // children exit through the protocol rather than a connection error.
 func (s *SubMaster) lingerForChildren() {
-	deadline := time.Now().Add(s.opts.DrainLinger)
-	for time.Now().Before(deadline) {
-		if s.ChildCount() == 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), s.opts.DrainLinger)
+	defer cancel()
+	_ = s.srv.WaitNodes(ctx, func(n int) bool { return n == 0 })
 }
 
 func (s *SubMaster) cleanup() {
+	s.srv.Close()
 	s.httpSrv.Close()
-	s.client.CloseIdle()
+	s.up.Client.CloseIdle()
 }
 
 // ---------------------------------------------------------------------------
-// Upward side: signin, heartbeat, demand-driven fetch, report batching
+// Upward side: demand-driven fetch, report batching
 
-func (s *SubMaster) signinUpward(ctx context.Context) (rpcproto.SigninReply, error) {
-	args := rpcproto.SigninArgs{
+// signinArgs advertises this node upward as one wide worker.
+func (s *SubMaster) signinArgs() rpcproto.SigninArgs {
+	return rpcproto.SigninArgs{
 		Kind:  rpcproto.NodeKindSubmaster,
 		Addr:  s.addr,
-		Slots: int64(s.slotCapacity()),
+		Slots: int64(s.srv.Slots()),
 	}
-	var lastErr error
-	for attempt := 0; attempt < 20; attempt++ {
-		select {
-		case <-ctx.Done():
-			return rpcproto.SigninReply{}, ctx.Err()
-		default:
-		}
-		raw, err := s.client.Call(rpcproto.MethodSignin, args.Encode())
-		if err == nil {
-			return rpcproto.DecodeSigninReply(raw)
-		}
-		lastErr = err
-		if !sleepCtx(ctx, s.retry.Delay(attempt+1)) {
-			return rpcproto.SigninReply{}, ctx.Err()
-		}
-	}
-	return rpcproto.SigninReply{}, fmt.Errorf("submaster: signin failed: %w", lastErr)
-}
-
-// resignin re-establishes the upward identity after an unknown-slave
-// fault. Children are untouched: they address this node, not the
-// master, so a master restart is invisible below this line (the local
-// scheduler keeps dispatching work already fetched). oldID guards
-// against concurrent fetchers racing to re-sign-in.
-func (s *SubMaster) resignin(ctx context.Context, oldID string) error {
-	s.idMu.Lock()
-	if s.id != oldID {
-		s.idMu.Unlock()
-		return nil // another goroutine already re-signed in
-	}
-	s.idMu.Unlock()
-	s.logger.Printf("submaster %s: no longer known to master; re-signing in", oldID)
-	reply, err := s.signinUpward(ctx)
-	if err != nil {
-		return fmt.Errorf("submaster: re-signin: %w", err)
-	}
-	s.idMu.Lock()
-	if s.id == oldID {
-		s.id = reply.SlaveID
-		s.hbMillis = reply.HeartbeatMillis
-		s.resignins.Add(1)
-		s.opts.Obs.M().Add(obs.MetricSubmasterResignins, 1)
-	}
-	s.idMu.Unlock()
-	return nil
-}
-
-func (s *SubMaster) heartbeat(interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stopHB:
-			return
-		case <-tick.C:
-			id := s.ID()
-			if _, err := s.client.Call(rpcproto.MethodPing, id); err != nil {
-				s.logger.Printf("submaster %s: ping: %v", id, err)
-			}
-		}
-	}
-}
-
-func (s *SubMaster) slotCapacity() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.capacity
 }
 
 // acquireSlot blocks until a child slot is free (or shutdown). A slot
 // is what makes the fetch demand-driven: with no idle child capacity
-// the node stops polling the master entirely.
+// the node stops polling the master entirely. Capacity is the node
+// server's live slot count, so a child signing in, draining or being
+// reaped moves it; only the fetcher waits here.
 func (s *SubMaster) acquireSlot() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.closing && s.used >= s.capacity {
-		s.slotCond.Wait()
+	for {
+		changed := s.srv.Changed()
+		if s.tryAcquireSlots(1) == 1 {
+			return true
+		}
+		select {
+		case <-s.stop:
+			return false
+		case <-changed:
+		case <-s.freed:
+		}
 	}
-	if s.closing {
-		return false
-	}
-	s.used++
-	return true
-}
-
-func (s *SubMaster) releaseSlot() {
-	s.releaseSlots(1)
 }
 
 func (s *SubMaster) releaseSlots(n int) {
@@ -506,25 +366,22 @@ func (s *SubMaster) releaseSlots(n int) {
 	}
 	s.mu.Lock()
 	s.used -= n
-	s.slotCond.Broadcast()
 	s.mu.Unlock()
+	select {
+	case s.freed <- struct{}{}:
+	default:
+	}
 }
 
-// tryAcquireSlots grabs up to n additional free slots without
-// blocking, returning how many it got. The fetcher calls it right
-// before an upward poll so one get_tasks round trip can refill every
-// idle child at once.
+// tryAcquireSlots grabs up to n free slots without blocking, returning
+// how many it got. The fetcher calls it right before an upward poll so
+// one get_tasks round trip can refill every idle child at once.
 func (s *SubMaster) tryAcquireSlots(n int) int {
+	capacity := s.srv.Slots()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closing {
-		return 0
-	}
-	got := 0
-	for got < n && s.used < s.capacity {
-		s.used++
-		got++
-	}
+	got := max(min(n, capacity-s.used), 0)
+	s.used += got
 	return got
 }
 
@@ -554,38 +411,24 @@ func (s *SubMaster) fetchWithSlot(ctx context.Context, consecutive *int) bool {
 	for {
 		select {
 		case <-ctx.Done():
-			s.releaseSlot()
+			s.releaseSlots(1)
 			s.beginShutdown(ctx.Err())
 			return false
 		case <-s.stop:
-			s.releaseSlot()
+			s.releaseSlots(1)
 			return false
 		default:
 		}
-		id := s.ID()
+		id := s.up.ID()
 		extra := s.tryAcquireSlots(s.opts.FetchBatch - 1)
-		raw, err := s.client.Call(rpcproto.MethodGetTasks, id, int64(1+extra))
+		raw, err := s.up.Client.Call(rpcproto.MethodGetTasks, id, int64(1+extra))
 		if err != nil {
 			s.releaseSlots(extra)
-			if rpcproto.IsUnknownSlave(err) {
-				if rerr := s.resignin(ctx, id); rerr != nil {
-					s.releaseSlot()
-					s.beginShutdown(rerr)
-					return false
-				}
-				*consecutive = 0
-				continue
-			}
-			*consecutive++
-			s.logger.Printf("submaster %s: get_tasks: %v", id, err)
-			if *consecutive >= s.opts.MaxConsecutiveRPCErrors {
-				s.releaseSlot()
-				s.beginShutdown(fmt.Errorf("submaster: master unreachable: %w", err))
-				return false
-			}
-			if !sleepCtx(ctx, s.retry.Delay(*consecutive)) {
-				s.releaseSlot()
-				s.beginShutdown(ctx.Err())
+			// A re-signin after a master restart is invisible to the
+			// children: they address this node, not the master.
+			if err := s.up.PollFailed(ctx, id, err, consecutive, s.opts.MaxConsecutiveRPCErrors); err != nil {
+				s.releaseSlots(1)
+				s.beginShutdown(err)
 				return false
 			}
 			continue
@@ -637,13 +480,13 @@ func (s *SubMaster) fetchWithSlot(ctx context.Context, consecutive *int) bool {
 // The completion callback releases the slot and enqueues the upward
 // report under the parent's task id.
 func (s *SubMaster) submitLocal(a rpcproto.Assignment) bool {
-	lt := &localTask{job: int64(a.Spec.Job), parentID: a.TaskID}
+	job, parentID := int64(a.Spec.Job), a.TaskID
 	var localID sched.TaskID
 	// localMu is held across Submit (which never fires the callback
 	// synchronously) so the callback observes localID assigned.
 	s.localMu.Lock()
 	id, err := s.sched.Submit(a.Spec, func(res *core.TaskResult, err error) {
-		defer s.releaseSlot()
+		defer s.releaseSlots(1)
 		s.localMu.Lock()
 		delete(s.local, localID)
 		s.localMu.Unlock()
@@ -654,13 +497,13 @@ func (s *SubMaster) submitLocal(a rpcproto.Assignment) bool {
 				// one of its global attempts for a local non-failure.
 				return
 			}
-			s.enqueueReport(rpcproto.Report{Job: lt.job, TaskID: lt.parentID, Err: err.Error()})
+			s.enqueueReport(rpcproto.Report{Job: job, TaskID: parentID, Err: err.Error()})
 			return
 		}
 		s.enqueueReport(rpcproto.Report{
 			Done:    true,
-			Job:     lt.job,
-			TaskID:  lt.parentID,
+			Job:     job,
+			TaskID:  parentID,
 			Outputs: res.Outputs,
 			Timing:  res.Timing,
 		})
@@ -670,7 +513,7 @@ func (s *SubMaster) submitLocal(a rpcproto.Assignment) bool {
 		return false // closed
 	}
 	localID = id
-	s.local[id] = lt
+	s.local[id] = true
 	s.localMu.Unlock()
 	s.tasksFetched.Add(1)
 	s.opts.Obs.M().Add(obs.MetricSubmasterFetched, 1)
@@ -680,19 +523,7 @@ func (s *SubMaster) submitLocal(a rpcproto.Assignment) bool {
 // relay fans the master's piggybacked broadcasts out to every child
 // and applies job GC to local scheduling state.
 func (s *SubMaster) relay(deletes []string, gcJobs []int64) {
-	if len(deletes) == 0 && len(gcJobs) == 0 {
-		return
-	}
-	s.mu.Lock()
-	for id := range s.children {
-		if len(deletes) > 0 {
-			s.pendingDeletes[id] = append(s.pendingDeletes[id], deletes...)
-		}
-		if len(gcJobs) > 0 {
-			s.pendingGC[id] = append(s.pendingGC[id], gcJobs...)
-		}
-	}
-	s.mu.Unlock()
+	s.srv.Broadcast(deletes, gcJobs)
 	for _, j := range gcJobs {
 		s.sched.JobDone(core.JobID(j))
 	}
@@ -728,11 +559,6 @@ func (s *SubMaster) flusher(done chan struct{}) {
 	}
 }
 
-// reportRetries bounds report_batch delivery attempts; like a slave's
-// task reports, losing a batch is survivable (the master's task lease
-// recovers the work) but expensive.
-const reportRetries = 6
-
 // flush delivers all buffered reports upward in MaxBatch-sized
 // report_batch calls.
 func (s *SubMaster) flush() {
@@ -754,368 +580,29 @@ func (s *SubMaster) flush() {
 	}
 }
 
+// deliver sends one report_batch through the uplink's redelivery.
 func (s *SubMaster) deliver(batch []rpcproto.Report) {
 	s.opts.Obs.M().Add(obs.MetricSubmasterBatches, 1)
-	var lastErr error
-	for attempt := 1; attempt <= reportRetries; attempt++ {
-		if attempt > 1 {
-			time.Sleep(s.retry.Delay(attempt - 1))
-		}
-		id := s.ID()
-		_, err := s.client.Call(rpcproto.MethodReportBatch, id, rpcproto.EncodeReports(batch))
-		if err == nil {
-			return
-		}
-		lastErr = err
-		if rpcproto.IsUnknownSlave(err) {
-			// The master processed the batch before faulting; only the
-			// identity needs repair.
-			if rerr := s.resignin(context.Background(), id); rerr != nil {
-				s.logger.Printf("submaster: %v", rerr)
-			}
-			return
-		}
-		if _, isFault := err.(*xmlrpc.Fault); isFault {
-			break // server-side rejection is final
+	id := s.up.ID()
+	err := s.up.Report(rpcproto.MethodReportBatch, id, rpcproto.EncodeReports(batch))
+	if rpcproto.IsUnknownSlave(err) {
+		// The master processed the batch before faulting; only the
+		// identity needs repair.
+		if rerr := s.up.Resignin(context.Background(), id); rerr != nil {
+			s.logger.Printf("%v", rerr)
 		}
 	}
-	s.logger.Printf("submaster %s: report_batch (%d reports) undelivered: %v", s.ID(), len(batch), lastErr)
 }
 
-// ---------------------------------------------------------------------------
-// Downward side: the master↔node protocol served to children
-
-func (s *SubMaster) handleSignin(args []any) (any, error) {
-	node := rpcproto.DecodeSigninArgs(args)
-	slots := node.Slots
-	if slots <= 0 {
-		slots = 1 // pre-tree slaves advertise nothing; assume one slot
-	}
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("submaster: closed")
-	}
-	s.nextChild++
-	id := fmt.Sprintf("c%d", s.nextChild)
-	if sm := s.ID(); sm != "" {
-		// Child ids carry the upward identity so trace lanes and
-		// list_nodes rows are unambiguous fleet-wide.
-		id = sm + "." + id
-	}
-	s.children[id] = &childInfo{
-		id:       id,
-		addr:     node.Addr,
-		slots:    slots,
-		lastSeen: time.Now(),
-	}
-	s.capacity += int(slots)
-	s.slotCond.Broadcast()
-	s.mu.Unlock()
-	s.opts.Obs.M().Add(obs.MetricSubmasterChildSignins, 1)
-	s.idMu.Lock()
-	hb := s.hbMillis
-	s.idMu.Unlock()
-	return rpcproto.SigninReply{SlaveID: id, HeartbeatMillis: hb}.Encode(), nil
-}
-
-// touchChild refreshes a child's liveness; false for unknown children.
-func (s *SubMaster) touchChild(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.children[id]
-	if !ok {
-		return false
-	}
-	c.lastSeen = time.Now()
-	return true
-}
-
-func unknownChildFault(id string) *xmlrpc.Fault {
-	return &xmlrpc.Fault{
-		Code:    rpcproto.FaultUnknownSlave,
-		Message: fmt.Sprintf("submaster: unknown child %s (declared dead?)", id),
-	}
-}
-
-func childIDArg(args []any) (string, error) {
-	if len(args) < 1 {
-		return "", fmt.Errorf("submaster: missing child id")
-	}
-	id, ok := args[0].(string)
-	if !ok || id == "" {
-		return "", fmt.Errorf("submaster: bad child id %v", args[0])
-	}
-	return id, nil
-}
-
-func (s *SubMaster) handlePing(args []any) (any, error) {
-	id, err := childIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	if !s.touchChild(id) {
-		return nil, unknownChildFault(id)
-	}
-	return true, nil
-}
-
-func (s *SubMaster) handleGetTask(args []any) (any, error) {
-	id, err := childIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	if !s.touchChild(id) {
-		return nil, unknownChildFault(id)
-	}
-	s.mu.Lock()
-	leaving := s.closing
-	if c := s.children[id]; c != nil && c.draining {
-		leaving = true
-	}
-	if leaving {
-		// The child is done here — shutting down with us, or drained
-		// out from under us. Send it away cleanly and forget it.
-		a := s.withBroadcastsLocked(id, rpcproto.Assignment{Status: rpcproto.StatusShutdown})
-		s.forgetChildLocked(id)
-		s.mu.Unlock()
-		return encodeAssignment(a)
-	}
-	s.mu.Unlock()
-	task, attempt, err := s.sched.RequestAttempt(id, s.opts.LongPoll)
-	if err == sched.ErrClosed {
-		s.mu.Lock()
-		a := s.withBroadcastsLocked(id, rpcproto.Assignment{Status: rpcproto.StatusShutdown})
-		s.forgetChildLocked(id)
-		s.mu.Unlock()
-		return encodeAssignment(a)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.touchChild(id) // the long poll may have taken a while
-	a := rpcproto.Assignment{Status: rpcproto.StatusIdle}
-	if task != nil {
-		a = rpcproto.Assignment{
-			Status:  rpcproto.StatusTask,
-			TaskID:  int64(task.ID),
-			Attempt: int64(attempt),
-			Spec:    task.Spec,
-		}
-	}
-	s.mu.Lock()
-	a = s.withBroadcastsLocked(id, a)
-	s.mu.Unlock()
-	return encodeAssignment(a)
-}
-
-// withBroadcastsLocked attaches the child's queued deletes and job-GC
-// ids to a get_task answer. As in the master, they are collected after
-// the long poll, so a relayed delete reaches the child no later than
-// the task it precedes.
-func (s *SubMaster) withBroadcastsLocked(id string, a rpcproto.Assignment) rpcproto.Assignment {
-	a.Deletes = s.pendingDeletes[id]
-	delete(s.pendingDeletes, id)
-	a.GCJobs = s.pendingGC[id]
-	delete(s.pendingGC, id)
-	return a
-}
-
-func encodeAssignment(a rpcproto.Assignment) (any, error) {
-	return a.Encode()
-}
-
-func (s *SubMaster) handleTaskDone(args []any) (any, error) {
-	if len(args) < 4 {
-		return nil, fmt.Errorf("submaster: task_done wants (child, job, task, outputs[, timing])")
-	}
-	id, err := childIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	taskID, ok := args[2].(int64)
-	if !ok {
-		return nil, fmt.Errorf("submaster: bad task id %v", args[2])
-	}
-	outputs, err := rpcproto.DecodeDescriptors(args[3])
-	if err != nil {
-		return nil, err
-	}
-	result := &core.TaskResult{Outputs: outputs}
-	if len(args) >= 5 {
-		result.Timing = rpcproto.DecodeTiming(args[4])
-	}
-	known := s.touchChild(id)
-	// Accept the result even from a forgotten child; the local
-	// scheduler sorts accepted completions from stale ones, exactly as
-	// the master does.
-	if _, err := s.sched.CompleteTask(sched.TaskID(taskID), id, result); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if c := s.children[id]; c != nil {
-		c.tasks.Add(1)
-	}
-	s.mu.Unlock()
-	if !known {
-		return nil, unknownChildFault(id)
-	}
-	return true, nil
-}
-
-func (s *SubMaster) handleTaskFailed(args []any) (any, error) {
-	if len(args) < 4 {
-		return nil, fmt.Errorf("submaster: task_failed wants (child, job, task, message)")
-	}
-	id, err := childIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	taskID, ok := args[2].(int64)
-	if !ok {
-		return nil, fmt.Errorf("submaster: bad task id %v", args[2])
-	}
-	msg, _ := args[3].(string)
-	known := s.touchChild(id)
-	if err := s.sched.Fail(sched.TaskID(taskID), id, msg); err != nil {
-		return nil, err
-	}
-	// If the task survived the failure it is queued for another local
-	// attempt: the retry was absorbed inside the shard, no master round
-	// trip. Exhausted tasks escalated via their callback instead and
-	// are no longer tracked.
+// childFailed counts a child failure the local retry budget absorbed
+// (node.Config.OnFail): a task still tracked after sched.Fail is queued
+// for another local attempt, with no master round trip. Exhausted tasks
+// escalated through their callback instead and are no longer tracked.
+func (s *SubMaster) childFailed(_ string, _, task int64, _ string) {
 	s.localMu.Lock()
-	_, retrying := s.local[sched.TaskID(taskID)]
+	retrying := s.local[sched.TaskID(task)]
 	s.localMu.Unlock()
 	if retrying {
 		s.opts.Obs.M().Add(obs.MetricSubmasterLocalRetries, 1)
-	}
-	if !known {
-		return nil, unknownChildFault(id)
-	}
-	return true, nil
-}
-
-// handleDrain takes one child out of rotation, mirroring the master's
-// drain-by-id-or-address semantics one level down.
-func (s *SubMaster) handleDrain(args []any) (any, error) {
-	if len(args) < 1 {
-		return nil, fmt.Errorf("submaster: drain wants a node id or address")
-	}
-	target, _ := args[0].(string)
-	return s.DrainChild(target), nil
-}
-
-// DrainChild marks a child draining: its leases requeue into the local
-// scheduler immediately and its next get_task answers shutdown.
-func (s *SubMaster) DrainChild(target string) bool {
-	s.mu.Lock()
-	var c *childInfo
-	if ci, ok := s.children[target]; ok {
-		c = ci
-	} else {
-		for _, ci := range s.children {
-			if ci.addr != "" && ci.addr == target {
-				c = ci
-				break
-			}
-		}
-	}
-	if c == nil || c.draining {
-		s.mu.Unlock()
-		return false
-	}
-	c.draining = true
-	s.capacity -= int(c.slots)
-	s.slotCond.Broadcast()
-	s.mu.Unlock()
-	s.sched.Drain(c.id)
-	return true
-}
-
-func (s *SubMaster) handleListNodes(args []any) (any, error) {
-	return rpcproto.EncodeNodeInfos(s.Nodes()), nil
-}
-
-// Nodes returns a snapshot of the children, sorted by id.
-func (s *SubMaster) Nodes() []rpcproto.NodeInfo {
-	s.mu.Lock()
-	out := make([]rpcproto.NodeInfo, 0, len(s.children))
-	for _, c := range s.children {
-		out = append(out, rpcproto.NodeInfo{
-			ID:        c.id,
-			Kind:      rpcproto.NodeKindSlave,
-			Addr:      c.addr,
-			Slots:     c.slots,
-			TasksDone: c.tasks.Load(),
-			Draining:  c.draining,
-		})
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// forgetChildLocked removes a child from the registry and returns its
-// slots to nobody: capacity shrinks unless the child was already
-// draining (its slots left capacity when the drain started).
-func (s *SubMaster) forgetChildLocked(id string) {
-	c, ok := s.children[id]
-	if !ok {
-		return
-	}
-	delete(s.children, id)
-	delete(s.pendingDeletes, id)
-	delete(s.pendingGC, id)
-	if !c.draining {
-		s.capacity -= int(c.slots)
-		s.slotCond.Broadcast()
-	}
-}
-
-// childReaper declares silent children dead: their leases requeue into
-// the local scheduler and their slots leave the aggregate capacity. It
-// also drives shard-local speculation when configured.
-func (s *SubMaster) childReaper(stop chan struct{}) {
-	interval := s.opts.HeartbeatTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		cutoff := time.Now().Add(-s.opts.HeartbeatTimeout)
-		var dead []string
-		s.mu.Lock()
-		for id, c := range s.children {
-			if c.lastSeen.Before(cutoff) {
-				dead = append(dead, id)
-			}
-		}
-		for _, id := range dead {
-			s.logger.Printf("submaster %s: child %s silent; declaring dead", s.ID(), id)
-			s.forgetChildLocked(id)
-		}
-		s.mu.Unlock()
-		for _, id := range dead {
-			s.sched.SlaveDead(id)
-		}
-		if s.opts.SpeculationFactor > 0 {
-			s.sched.Speculate()
-		}
-	}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	select {
-	case <-ctx.Done():
-		return false
-	case <-time.After(d):
-		return true
 	}
 }

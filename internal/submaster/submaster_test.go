@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bucket"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/master"
 	"repro/internal/obs"
@@ -54,6 +55,9 @@ func newHarness(t *testing.T, smOpts Options) *harness {
 	if err := m.WaitForSlaves(wctx, 1); err != nil {
 		t.Fatal(err)
 	}
+	// The master registers the sign-in before the sub-master has read
+	// its reply; children attached after that carry the upward id.
+	waitFor(t, "sub-master to learn its id", func() bool { return sm.ID() != "" })
 	return &harness{m: m, sm: sm, rt: rt}
 }
 
@@ -262,5 +266,105 @@ func TestDrainChildReturnsLeases(t *testing.T) {
 	}
 	if got := h.sm.ChildCount(); got != 1 {
 		t.Errorf("ChildCount = %d after drain, want 1", got)
+	}
+}
+
+func TestChildReapedOnFakeClock(t *testing.T) {
+	// Child liveness runs on the injected clock: a child goes silent by
+	// the clock jumping past the heartbeat timeout, with no real sleeps,
+	// and its slots leave the shard's capacity.
+	clk := clock.NewFake(time.Unix(1000, 0))
+	sm, err := newSubMaster(Options{MasterAddr: "127.0.0.1:1", HeartbeatTimeout: 100 * time.Millisecond}, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sm.Close(); sm.cleanup() })
+	live := attach(t, sm, 2)
+	silent := attach(t, sm, 3)
+	if got := sm.srv.Slots(); got != 5 {
+		t.Fatalf("capacity %d, want 5", got)
+	}
+	clk.Advance(60 * time.Millisecond)
+	if _, err := live.client.Call(rpcproto.MethodPing, live.id); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(80 * time.Millisecond) // silent is 140ms stale, live 80ms
+	waitFor(t, "silent child to be reaped", func() bool { return sm.ChildCount() == 1 })
+	if got := sm.srv.Slots(); got != 2 {
+		t.Errorf("capacity %d after the reap, want 2", got)
+	}
+	if _, err := silent.client.Call(rpcproto.MethodPing, silent.id); !rpcproto.IsUnknownSlave(err) {
+		t.Errorf("reaped child's ping = %v, want the unknown-slave fault", err)
+	}
+}
+
+func TestChildDrainRules(t *testing.T) {
+	// Same rule as the master: an unknown target is a fault, a repeat
+	// drain is a no-op answering false.
+	h := newHarness(t, Options{})
+	c := attach(t, h.sm, 1)
+	ops := xmlrpc.NewClient("http://" + h.sm.Addr() + xmlrpc.RPCPath)
+	if _, err := ops.Call(rpcproto.MethodDrain, "no-such-child"); err == nil {
+		t.Error("drain of an unknown child answered without a fault")
+	}
+	if ok, err := ops.Call(rpcproto.MethodDrain, c.id); err != nil || ok != true {
+		t.Fatalf("drain = %v, %v; want true", ok, err)
+	}
+	if ok, err := ops.Call(rpcproto.MethodDrain, c.id); err != nil || ok != false {
+		t.Errorf("repeat drain = %v, %v; want false, no fault", ok, err)
+	}
+}
+
+func TestChildSlotsFloor(t *testing.T) {
+	// A child advertising no slots (a pre-tree slave) counts as one.
+	h := newHarness(t, Options{})
+	attach(t, h.sm, 0)
+	raw, err := xmlrpc.NewClient("http://" + h.sm.Addr() + xmlrpc.RPCPath).Call(rpcproto.MethodListNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := rpcproto.DecodeNodeInfos(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nodes) != 1 || nodes[0].Slots != 1 {
+		t.Errorf("list_nodes = %+v, want one child with 1 slot", nodes)
+	}
+}
+
+func TestHandlerArgValidation(t *testing.T) {
+	// The master's malformed-argument table, plus the job-id checks,
+	// against a sub-master.
+	h := newHarness(t, Options{})
+	c := attach(t, h.sm, 1)
+	cases := []struct {
+		method string
+		args   []any
+	}{
+		{rpcproto.MethodPing, nil},
+		{rpcproto.MethodPing, []any{int64(7)}},
+		{rpcproto.MethodTaskDone, []any{c.id}},
+		{rpcproto.MethodTaskDone, []any{c.id, "not-an-int", []any{}}},
+		{rpcproto.MethodTaskDone, []any{c.id, "not-an-int", int64(1), []any{}}},
+		{rpcproto.MethodTaskFailed, []any{c.id, int64(1)}},
+		{rpcproto.MethodTaskFailed, []any{c.id, "not-an-int", int64(1), "msg"}},
+	}
+	for _, tc := range cases {
+		if _, err := c.client.Call(tc.method, tc.args...); err == nil {
+			t.Errorf("%s(%v) accepted", tc.method, tc.args)
+		}
+	}
+}
+
+// waitFor polls for an asynchronous effect (the reaper goroutine
+// catching up with an already-advanced fake clock).
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -96,8 +96,11 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 		./internal/cluster ./internal/master ./internal/journal ./internal/sched
 	echo "== tier 2: hierarchical control-plane stress (race, sub-master tree + drain + speculation)"
 	go test -race -count=2 \
-		-run 'Hierarchical|SubMaster|Elastic|Drain|Speculat|Resignin|Tree|Escalates' \
-		./internal/cluster ./internal/submaster ./internal/sched
+		-run 'Hierarchical|SubMaster|Elastic|Drain|Speculat|Resignin|Tree|Escalates|Reap|Child|Shutdown|Unknown|Slots|ArgValidation' \
+		./internal/cluster ./internal/submaster ./internal/sched ./internal/node
+	echo "== tier 2: node protocol fuzz (server edge and assignment decoder, corpus + 10s each)"
+	go test -run '^$' -fuzz '^FuzzServeCall$' -fuzztime 10s ./internal/node
+	go test -run '^$' -fuzz '^FuzzDecodeAssignments$' -fuzztime 10s ./internal/rpcproto
 	echo "== tier 2: bucket memory-tier + delete-ordering stress (race, repeated)"
 	go test -race -count=2 \
 		-run 'MemTier|FreeThenNewJob|IterationsLeaveHeld|MultipleJobsOneCluster|FreeAfterCrash|JobGC' \
