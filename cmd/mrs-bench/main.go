@@ -18,8 +18,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -61,6 +65,21 @@ var (
 	trackers = flag.Int("trackers", 21, "simulated Hadoop TaskTrackers (paper: 21 nodes)")
 	csvDir   = flag.String("csv", "", "directory to also write figure series as CSV files")
 )
+
+// gitCommit names the checkout a result was measured on: the short
+// HEAD commit, "-dirty" when the tree has uncommitted changes, or
+// "unknown" outside a git checkout.
+func gitCommit() string {
+	head, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	commit := strings.TrimSpace(string(head))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(bytes.TrimSpace(st)) > 0 {
+		commit += "-dirty"
+	}
+	return commit
+}
 
 // writeCSV writes rows to <csvDir>/<name>.csv when -csv is set.
 func writeCSV(name string, header []string, rows [][]string) error {
@@ -867,15 +886,18 @@ func shuffleRegistry(recsPerMap int) *core.Registry {
 
 // expShuffle measures the data-plane changes in isolation: a reduce
 // whose every task fetches mapSplits input buckets over HTTP, swept
-// across prefetch width {1, 8} x wire compression {off, on} x simulated
-// per-fetch delay {0, -shuffle-rtt}. Reduce shuffle time comes from the
-// job's per-op timing breakdown (time tasks spent blocked on input);
-// raw-vs-wire bytes come from the obs counters the store maintains.
+// across prefetch width {1, 8} x block codec {default (identity),
+// deflate} x simulated per-fetch delay {0, -shuffle-rtt}, each cell run
+// shuffleReps times (medians reported, min/max kept). Reduce shuffle
+// time comes from the job's per-op timing breakdown (time tasks spent
+// blocked on input); raw-vs-wire bytes come from the obs counters the
+// store maintains.
 func expShuffle() error {
 	const (
 		mapSplits    = 16
 		reduceSplits = 4
 		recsPerMap   = 200
+		shuffleReps  = 3
 	)
 	// A compressible but non-degenerate payload: repeated words, like
 	// the text workloads the paper benchmarks, so compressors pay a
@@ -889,17 +911,16 @@ func expShuffle() error {
 	}
 
 	type cfgT struct {
-		width    int
-		compress bool
-		rtt      time.Duration
-		codec    string
-		recs     int // records per map split
+		width int
+		rtt   time.Duration
+		codec string // "" = the default codec (identity)
+		recs  int    // records per map split
 	}
 	var grid []cfgT
 	for _, rtt := range []time.Duration{0, *shufRTT} {
-		for _, compress := range []bool{false, true} {
+		for _, name := range []string{"", wirecodec.DeflateName} {
 			for _, width := range []int{1, 8} {
-				grid = append(grid, cfgT{width, compress, rtt, "", recsPerMap})
+				grid = append(grid, cfgT{width, rtt, name, recsPerMap})
 			}
 		}
 	}
@@ -908,7 +929,7 @@ func expShuffle() error {
 	// record volume so codec CPU rises above scheduling noise.
 	for _, name := range []string{wirecodec.IdentityName, wirecodec.DeflateName, wirecodec.LZName} {
 		for _, width := range []int{1, 8} {
-			grid = append(grid, cfgT{width, false, 0, name, 20 * recsPerMap})
+			grid = append(grid, cfgT{width, 0, name, 20 * recsPerMap})
 		}
 	}
 
@@ -919,12 +940,15 @@ func expShuffle() error {
 
 	type rowT struct {
 		Prefetch         int     `json:"prefetch"`
-		Compress         bool    `json:"compress"`
 		Codec            string  `json:"codec"`
 		RecsPerMap       int     `json:"records_per_map"`
 		RTTMeanMS        float64 `json:"rtt_mean_ms"`
 		WallMS           float64 `json:"wall_ms"`
+		WallMinMS        float64 `json:"wall_ms_min"`
+		WallMaxMS        float64 `json:"wall_ms_max"`
 		CPUMS            float64 `json:"cpu_ms"`
+		CPUMinMS         float64 `json:"cpu_ms_min"`
+		CPUMaxMS         float64 `json:"cpu_ms_max"`
 		ReduceShuffleMS  float64 `json:"reduce_shuffle_ms_total"`
 		ShufflePerTaskMS float64 `json:"reduce_shuffle_ms_per_task"`
 		RawDirectBytes   int64   `json:"raw_direct_bytes"`
@@ -933,11 +957,9 @@ func expShuffle() error {
 	}
 	var rows []rowT
 
-	fmt.Printf("M=%d map splits, R=%d reduce splits, %d records/map, %d slaves\n\n",
-		mapSplits, reduceSplits, recsPerMap, *slaves)
-	fmt.Printf("%-9s %-9s %-9s %-8s %12s %10s %16s %12s %12s\n",
-		"prefetch", "compress", "codec", "rtt", "wall", "cpu", "shuffle(total)", "raw-bytes", "wire-bytes")
-	for _, cfg := range grid {
+	// runCell runs one job of the cell and returns its wall, CPU and
+	// reduce shuffle time, plus the store's byte counters.
+	runCell := func(cfg cfgT) (wall, cpu, shuffle time.Duration, tasks int64, snap map[string]int64, err error) {
 		var inj *fault.Injector
 		if cfg.rtt > 0 {
 			// DelayRate 1 with MaxDelay = 2x the target mean: every data
@@ -948,18 +970,19 @@ func expShuffle() error {
 		c, err := cluster.Start(shuffleRegistry(cfg.recs), cluster.Options{
 			Slaves:   *slaves,
 			Prefetch: cfg.width,
-			Compress: cfg.compress,
 			Codec:    cfg.codec,
 			Chaos:    inj,
 			Obs:      rt,
 		})
 		if err != nil {
-			return err
+			return
 		}
 		job := core.NewJobWith(c.Executor(), core.JobOptions{Pipeline: true, Obs: rt})
 		src, err := job.LocalData(inputs, core.OpOpts{Splits: mapSplits, Partition: "roundrobin"})
 		if err != nil {
-			return err
+			job.Close()
+			c.Close()
+			return
 		}
 		start := time.Now()
 		cpuBefore := processCPU()
@@ -968,81 +991,103 @@ func expShuffle() error {
 		if err == nil {
 			_, err = out.Collect()
 		}
-		cpuUsed := processCPU() - cpuBefore
-		wall := time.Since(start)
+		cpu = processCPU() - cpuBefore
+		wall = time.Since(start)
 		stats := job.Stats()
 		job.Close()
 		c.Close()
-		if err != nil {
-			return err
-		}
-
-		var shuffleNS int64
-		var tasks int64
 		for _, op := range stats.Ops {
 			if op.Func == "count" {
-				shuffleNS += op.ShuffleNS
+				shuffle += time.Duration(op.ShuffleNS)
 				tasks += op.Tasks
 			}
 		}
-		snap := rt.M().Snapshot()
+		return wall, cpu, shuffle, tasks, rt.M().Snapshot(), err
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+	fmt.Printf("M=%d map splits, R=%d reduce splits, %d records/map, %d slaves, %d reps per cell (medians)\n\n",
+		mapSplits, reduceSplits, recsPerMap, *slaves, shuffleReps)
+	fmt.Printf("%-9s %-9s %-8s %12s %10s %16s %12s %12s\n",
+		"prefetch", "codec", "rtt", "wall", "cpu", "shuffle(total)", "raw-bytes", "wire-bytes")
+	for _, cfg := range grid {
+		var walls, cpus, shuffles []float64
+		var tasks int64
+		var snap map[string]int64
+		for r := 0; r < shuffleReps; r++ {
+			wall, cpu, shuffle, n, sn, err := runCell(cfg)
+			if err != nil {
+				return err
+			}
+			walls, cpus, shuffles = append(walls, ms(wall)), append(cpus, ms(cpu)), append(shuffles, ms(shuffle))
+			tasks, snap = n, sn
+		}
+		sort.Float64s(walls)
+		sort.Float64s(cpus)
+		sort.Float64s(shuffles)
+		mid := shuffleReps / 2
 		row := rowT{
 			Prefetch:        cfg.width,
-			Compress:        cfg.compress,
 			Codec:           cfg.codec,
 			RecsPerMap:      cfg.recs,
-			RTTMeanMS:       float64(cfg.rtt) / float64(time.Millisecond),
-			WallMS:          float64(wall) / float64(time.Millisecond),
-			CPUMS:           float64(cpuUsed) / float64(time.Millisecond),
-			ReduceShuffleMS: float64(shuffleNS) / float64(time.Millisecond),
+			RTTMeanMS:       ms(cfg.rtt),
+			WallMS:          walls[mid],
+			WallMinMS:       walls[0],
+			WallMaxMS:       walls[len(walls)-1],
+			CPUMS:           cpus[mid],
+			CPUMinMS:        cpus[0],
+			CPUMaxMS:        cpus[len(cpus)-1],
+			ReduceShuffleMS: shuffles[mid],
 			RawDirectBytes:  snap[obs.MetricShuffleBytesDirect],
 			WireDirectBytes: snap[obs.MetricWireBytesDirect],
 		}
-		if cfg.codec != "" {
-			row.CodecWireBytes = snap[obs.MetricWireBytesCodec(cfg.codec)]
+		codecName := cfg.codec
+		if codecName == "" {
+			codecName = wirecodec.IdentityName
 		}
+		row.CodecWireBytes = snap[obs.MetricWireBytesCodec(codecName)]
 		if tasks > 0 {
 			row.ShufflePerTaskMS = row.ReduceShuffleMS / float64(tasks)
 		}
 		rows = append(rows, row)
 		codecLabel := cfg.codec
 		if codecLabel == "" {
-			codecLabel = "-"
+			codecLabel = "default"
 		}
-		fmt.Printf("%-9d %-9v %-9s %-8s %12s %8.1fms %15.1fms %12d %12d\n",
-			cfg.width, cfg.compress, codecLabel, cfg.rtt,
-			wall.Round(time.Millisecond), row.CPUMS, row.ReduceShuffleMS,
+		fmt.Printf("%-9d %-9s %-8s %10.1fms %8.1fms %15.1fms %12d %12d\n",
+			cfg.width, codecLabel, cfg.rtt, row.WallMS, row.CPUMS, row.ReduceShuffleMS,
 			row.RawDirectBytes, row.WireDirectBytes)
 	}
 
-	// Headline numbers: prefetch speedup under simulated RTT (compression
-	// off), and the wire saving from compression (no RTT needed).
-	pick := func(width int, compress bool, rtt bool) rowT {
+	// Headline numbers: prefetch speedup under simulated RTT (default
+	// codec), and the wire saving from deflate (no RTT needed).
+	pick := func(width int, codecName string, rtt bool) rowT {
 		for _, r := range rows {
-			if r.Prefetch == width && r.Compress == compress && (r.RTTMeanMS > 0) == rtt {
+			if r.Prefetch == width && r.Codec == codecName && r.RecsPerMap == recsPerMap && (r.RTTMeanMS > 0) == rtt {
 				return r
 			}
 		}
 		return rowT{}
 	}
-	seq, par := pick(1, false, true), pick(8, false, true)
+	seq, par := pick(1, "", true), pick(8, "", true)
 	speedup := 0.0
 	if par.ReduceShuffleMS > 0 {
 		speedup = seq.ReduceShuffleMS / par.ReduceShuffleMS
 	}
-	comp := pick(1, true, false)
+	comp := pick(1, wirecodec.DeflateName, false)
 	saving := 0.0
 	if comp.RawDirectBytes > 0 {
 		saving = 100 * (1 - float64(comp.WireDirectBytes)/float64(comp.RawDirectBytes))
 	}
 	fmt.Printf("\nprefetch speedup (shuffle time, width 8 vs 1, rtt %s): %.2fx\n", *shufRTT, speedup)
-	fmt.Printf("wire compression saving (direct path): %.1f%%\n", saving)
+	fmt.Printf("wire compression saving (deflate, direct path): %.1f%%\n", saving)
 
-	// Codec headline: lz vs deflate, summed over both widths. The point
-	// of the in-repo LZ codec is cheaper CPU at comparable wire savings.
+	// Codec headline: lz vs deflate over the 20x sweep, summed over both
+	// widths. The point of the in-repo LZ codec is cheaper CPU at
+	// comparable wire savings.
 	codecSum := func(name string) (cpu, wall float64, wire int64) {
 		for _, r := range rows {
-			if r.Codec == name {
+			if r.Codec == name && r.RecsPerMap == 20*recsPerMap {
 				cpu += r.CPUMS
 				wall += r.WallMS
 				wire += r.WireDirectBytes
@@ -1067,6 +1112,10 @@ func expShuffle() error {
 	if *shufJSON != "" {
 		blob, err := json.MarshalIndent(map[string]any{
 			"experiment":        "shuffle",
+			"reps":              shuffleReps,
+			"commit":            gitCommit(),
+			"nproc":             runtime.NumCPU(),
+			"gomaxprocs":        runtime.GOMAXPROCS(0),
 			"slaves":            *slaves,
 			"map_splits":        mapSplits,
 			"reduce_splits":     reduceSplits,
@@ -1094,7 +1143,7 @@ func expShuffle() error {
 	var csvRows [][]string
 	for _, r := range rows {
 		csvRows = append(csvRows, []string{
-			strconv.Itoa(r.Prefetch), strconv.FormatBool(r.Compress), r.Codec,
+			strconv.Itoa(r.Prefetch), r.Codec,
 			strconv.FormatFloat(r.RTTMeanMS, 'g', 4, 64),
 			strconv.FormatFloat(r.WallMS, 'g', 6, 64),
 			strconv.FormatFloat(r.CPUMS, 'g', 6, 64),
@@ -1104,7 +1153,7 @@ func expShuffle() error {
 		})
 	}
 	return writeCSV("shuffle", []string{
-		"prefetch", "compress", "codec", "rtt_ms", "wall_ms", "cpu_ms", "reduce_shuffle_ms", "raw_bytes", "wire_bytes",
+		"prefetch", "codec", "rtt_ms", "wall_ms", "cpu_ms", "reduce_shuffle_ms", "raw_bytes", "wire_bytes",
 	}, csvRows)
 }
 

@@ -41,9 +41,9 @@ func BindFlags(fs *flag.FlagSet) *Options {
 	fs.IntVar(&o.Prefetch, "mrs-prefetch", 0,
 		"input-fetch window per task (0 = default, 1 = sequential streaming)")
 	fs.BoolVar(&o.Compress, "mrs-compress", false,
-		"store and serve intermediate buckets flate-compressed")
+		"deflate blocks unless -mrs-codec is set")
 	fs.StringVar(&o.Codec, "mrs-codec", "",
-		"block data-plane codec: identity|deflate|lz (empty = legacy per-record framing)")
+		"block data-plane codec: identity|deflate|lz (empty = identity blocks)")
 	fs.StringVar(&o.BlockEncoding, "mrs-block-encoding", "",
 		"block encoding: row|columnar|columnar-raw|columnar-dict|columnar-delta (empty = row)")
 	fs.IntVar(&o.BlockSize, "mrs-block-size", 0,

@@ -14,12 +14,19 @@
 // file buckets locally and fetches http buckets over the network. A
 // store that serves over http keeps each bucket of up to
 // MemBucketBytes in memory and writes only larger ones as files.
+//
+// Every bucket, in every store, is a kvio block stream: identity-codec
+// row blocks unless a codec or block encoding is set. A bucket file's
+// name ends in its at-rest form — BlockExt or ColExt followed by the
+// codec's extension — so the data server knows the codec without
+// opening the file.
 package bucket
 
 import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -35,26 +42,15 @@ import (
 	"repro/internal/wirecodec"
 )
 
-// CompressExt marks a bucket file stored whole-stream flate-compressed
-// in the legacy (pre-block) at-rest form. The suffix makes compressed
-// buckets self-describing: any reader that sees it (local open, file://
-// URL, the data server) knows to decompress, so producers and consumers
-// need not agree on configuration.
-const CompressExt = ".fz"
-
-// BlockExt marks a bucket file stored in kvio block framing. The full
-// at-rest suffix is BlockExt plus the block codec's extension —
-// ".mrb" (identity blocks), ".mrb.fz" (deflate blocks), ".mrb.lz" —
-// so the data server knows the at-rest codec without opening the file
-// and can serve it verbatim to a client that accepts that codec.
+// BlockExt marks a bucket file of row blocks. The full at-rest suffix
+// is BlockExt plus the block codec's extension — ".mrb" (identity
+// blocks), ".mrb.fz" (deflate blocks), ".mrb.lz" — so the data server
+// can serve the file verbatim to a client that accepts its codec.
 const BlockExt = ".mrb"
 
-// ColExt marks a bucket file whose blocks are columnar frames (kvio's
-// second block kind: key and value columns with per-column codecs).
-// Like BlockExt it composes with the codec extension — ".mrc",
-// ".mrc.fz", ".mrc.lz" — so the data server knows both the at-rest
-// codec and the block kind without opening the file, which is what lets
-// it transcode down to row blocks for pre-columnar peers.
+// ColExt marks a bucket file of columnar blocks (kvio's second block
+// kind: key and value columns with per-column codecs). It composes with
+// the codec extension like BlockExt: ".mrc", ".mrc.fz", ".mrc.lz".
 const ColExt = ".mrc"
 
 // Descriptor identifies a finished bucket.
@@ -91,22 +87,21 @@ type Store struct {
 	dir     string // if non-empty, buckets are files under dir
 	baseURL string // if non-empty, file buckets advertise baseURL/<name>
 
-	mu           sync.Mutex
-	mem          map[string][]byte     // record-stream payloads for mem buckets
-	held         map[string]heldBucket // serving store: small buckets by flat name
-	heldBytes    int64                 // sum of held payload sizes
-	memCap       int64                 // bound on heldBytes (MemStoreCap)
-	spilled      bool                  // a serving-store bucket was ever written to disk
-	client       *http.Client          // overrides the shared fetch client (fault injection)
-	compress     bool                  // write new file buckets legacy flate-compressed
-	codec        wirecodec.Codec       // if set, write new file buckets block-framed with this codec
-	blockEnc     kvio.BlockEncoding    // block kind + key encoding for new file buckets
-	blockSize    int                   // target uncompressed bytes per block (0 = kvio default)
-	rowOnlyFetch bool                  // test hook: fetch like a pre-columnar peer
-	metrics      *obs.Metrics          // wire-byte counters (nil-safe)
-	memBytes     *obs.Counter          // held-bytes gauge (nil-safe)
-	memBuckets   *obs.Counter          // held-buckets gauge (nil-safe)
-	spills       *obs.Counter          // serving-store buckets written to disk
+	mu         sync.Mutex
+	mem        map[string][]byte     // block streams of mem buckets
+	held       map[string]heldBucket // serving store: small buckets by flat name
+	heldBytes  int64                 // sum of held payload sizes
+	memCap     int64                 // bound on heldBytes (MemStoreCap)
+	spilled    bool                  // a serving-store bucket was ever written to disk
+	client     *http.Client          // overrides the shared fetch client (fault injection)
+	compress   bool                  // deflate new buckets' blocks when no codec is set
+	codec      wirecodec.Codec       // block codec of new buckets (nil = identity, or deflate under compress)
+	blockEnc   kvio.BlockEncoding    // block kind + key encoding of new buckets
+	blockSize  int                   // target uncompressed bytes per block (0 = kvio default)
+	metrics    *obs.Metrics          // wire-byte counters (nil-safe)
+	memBytes   *obs.Counter          // held-bytes gauge (nil-safe)
+	memBuckets *obs.Counter          // held-buckets gauge (nil-safe)
+	spills     *obs.Counter          // serving-store buckets written to disk
 }
 
 // heldBucket is a published bucket kept in a serving store's memory:
@@ -115,16 +110,6 @@ type Store struct {
 type heldBucket struct {
 	data []byte
 	form atRest
-}
-
-// open returns a reader over the held bytes, undoing a legacy
-// whole-stream flate layer like OpenLocal does for a file.
-func (h heldBucket) open() io.ReadCloser {
-	rc := io.NopCloser(bytes.NewReader(h.data))
-	if h.form.legacyFlate {
-		return &drainReadCloser{r: deflateCodec().NewReader(rc), under: rc}
-	}
-	return rc
 }
 
 // NewMemStore returns a Store that keeps buckets in memory. Its
@@ -182,21 +167,18 @@ func (s *Store) CloseIdle() {
 	s.fetchClient().CloseIdleConnections()
 }
 
-// SetCompress controls whether new file buckets are written in the
-// legacy whole-stream flate form (mem buckets never are — they never
-// leave the process). Already-written buckets are unaffected; readers
-// handle every at-rest form regardless of this setting. SetCodec
-// supersedes this: when a block codec is set it wins.
+// SetCompress makes new buckets deflate their blocks when no codec is
+// set; a codec named by SetCodec or a per-bucket pin wins. Readers
+// decode every codec regardless of this setting.
 func (s *Store) SetCompress(on bool) {
 	s.mu.Lock()
 	s.compress = on
 	s.mu.Unlock()
 }
 
-// SetCodec switches new file buckets to kvio block framing with the
-// named registered codec ("identity", "deflate", "lz"). An empty name
-// reverts to the legacy per-record forms. Mem buckets are unaffected:
-// they never leave the process, so framing buys them nothing.
+// SetCodec sets the registered codec ("identity", "deflate", "lz") new
+// buckets compress their blocks with. An empty name restores the
+// default: identity, or deflate under SetCompress.
 func (s *Store) SetCodec(name string) error {
 	if name == "" {
 		s.mu.Lock()
@@ -214,12 +196,9 @@ func (s *Store) SetCodec(name string) error {
 	return nil
 }
 
-// SetBlockEncoding sets the block encoding for new file buckets:
-// "row" (the default), "columnar" (per-block automatic key encoding),
-// or a pinned "columnar-raw"/"columnar-dict"/"columnar-delta". Columnar
-// framing implies block framing, so if no block codec is set new
-// buckets are written as identity-codec blocks rather than falling
-// back to the legacy per-record forms.
+// SetBlockEncoding sets the block encoding of new buckets: "row" (the
+// default), "columnar" (per-block automatic key encoding), or a pinned
+// "columnar-raw"/"columnar-dict"/"columnar-delta".
 func (s *Store) SetBlockEncoding(name string) error {
 	enc, err := kvio.ParseBlockEncoding(name)
 	if err != nil {
@@ -231,36 +210,25 @@ func (s *Store) SetBlockEncoding(name string) error {
 	return nil
 }
 
-// SetRowOnlyFetch makes the store's HTTP fetches look like they come
-// from a pre-columnar peer (no block-kind advertisement), forcing
-// serving peers onto the row-block transcode fallback. Test hook for
-// mixed-version fleets.
-func (s *Store) SetRowOnlyFetch(on bool) {
-	s.mu.Lock()
-	s.rowOnlyFetch = on
-	s.mu.Unlock()
-}
-
-func (s *Store) rowOnlyFetchOn() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rowOnlyFetch
-}
-
-// SetBlockSize sets the target uncompressed payload per block for new
-// block-framed buckets; 0 restores the kvio default.
+// SetBlockSize sets the target uncompressed payload per block of new
+// buckets; 0 restores the kvio default.
 func (s *Store) SetBlockSize(n int) {
 	s.mu.Lock()
 	s.blockSize = n
 	s.mu.Unlock()
 }
 
-func (s *Store) codecOn() (wirecodec.Codec, kvio.BlockEncoding, int) {
+// writeSettings returns the block codec, encoding and size new buckets
+// are written with.
+func (s *Store) writeSettings() (wirecodec.Codec, kvio.BlockEncoding, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := s.codec
-	if c == nil && s.blockEnc.Columnar {
+	if c == nil {
 		c = wirecodec.Identity()
+		if s.compress {
+			c, _ = wirecodec.Lookup(wirecodec.DeflateName)
+		}
 	}
 	return c, s.blockEnc, s.blockSize
 }
@@ -276,12 +244,6 @@ func (s *Store) SetMetrics(m *obs.Metrics) {
 	s.memBytes = m.Level(obs.MetricBucketMemBytes)
 	s.memBuckets = m.Level(obs.MetricBucketMemBuckets)
 	s.spills = m.Counter(obs.MetricBucketSpilled)
-}
-
-func (s *Store) compressOn() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compress
 }
 
 // wireCounter returns the wire-byte counter for a URL scheme's data
@@ -305,74 +267,19 @@ func (s *Store) counting(rc io.ReadCloser, pathMetric, codecName, encName string
 	}
 }
 
-// blockExtIndex finds the block-framing marker (row or columnar) in an
-// at-rest path, returning the marker's length so the codec extension
-// after it can be extracted.
-func blockExtIndex(path string) (idx, markerLen int) {
-	if i := strings.Index(path, BlockExt); i >= 0 {
-		return i, len(BlockExt)
-	}
-	if i := strings.Index(path, ColExt); i >= 0 {
-		return i, len(ColExt)
-	}
-	return -1, 0
-}
-
-// fileCodecName classifies an at-rest file path by the codec its wire
-// bytes are compressed with, for the per-codec counters.
-func fileCodecName(path string) string {
-	if i, n := blockExtIndex(path); i >= 0 {
-		ext := path[i+n:]
-		for _, name := range wirecodec.Names() {
-			if c, _ := wirecodec.Lookup(name); c.Ext() == ext {
-				return name
-			}
-		}
-		return wirecodec.IdentityName
-	}
-	if strings.HasSuffix(path, CompressExt) {
-		return wirecodec.DeflateName
-	}
-	return wirecodec.IdentityName
-}
-
-// fileEncodingName classifies an at-rest file path by block kind for
-// the per-encoding counters; legacy record files count as row.
-func fileEncodingName(path string) string {
-	if strings.Contains(path, ColExt) {
-		return wirecodec.BlockKindColumnar
-	}
-	return wirecodec.BlockKindRow
-}
-
-// deflateCodec returns the registry's deflate codec, which owns the
-// pooled flate state the legacy ".fz" at-rest form is built on.
-func deflateCodec() wirecodec.Codec {
-	c, ok := wirecodec.Lookup(wirecodec.DeflateName)
-	if !ok {
-		panic("wirecodec: deflate not registered")
-	}
-	return c
-}
-
 // Writer accumulates one bucket's records.
 type Writer struct {
 	store *Store
 	name  string
-	// memory path
-	buf *bytes.Buffer
-	// file and serving stores: the encoded stream goes to out, which
-	// either holds it in memory or writes a temp file that Close renames
-	// to form.path, so a bucket is only ever observed complete.
-	// Duplicate task attempts (reassignment races, lease requeues) then
-	// cannot expose a half-written bucket to a concurrent reader — the
-	// last Close wins and both attempts produced identical content.
-	out  spillWriter
-	form atRest
-	cw   io.WriteCloser // legacy compression layer between records and out, if on
-
-	w      *kvio.Writer      // legacy per-record framing
-	bw     *kvio.BlockWriter // block framing (when the store has a codec)
+	// The block stream goes to out, which either holds it in memory or
+	// writes a temp file that Close renames to form.path, so a bucket is
+	// only ever observed complete. Duplicate task attempts (reassignment
+	// races, lease requeues) then cannot expose a half-written bucket to
+	// a concurrent reader — the last Close wins and both attempts
+	// produced identical content.
+	out    spillWriter
+	form   atRest
+	bw     *kvio.BlockWriter
 	closed bool
 }
 
@@ -380,7 +287,7 @@ type Writer struct {
 // stream in buf until it would outgrow limit; the write that crosses
 // the limit creates the temp file, writes the held prefix, and from
 // then on streams to the file. A file store's writers have limit 0 and
-// their file from Create on.
+// their file from Create on; a mem store's never reach their limit.
 type spillWriter struct {
 	dir, pattern string
 	limit        int
@@ -435,12 +342,10 @@ type CreateOpts struct {
 }
 
 // Create starts a new bucket with the given store-relative name. Name
-// components are sanitized into a flat, safe file name. With a block
-// codec set the file is written block-framed and published with the
-// BlockExt+codec (or ColExt+codec, for columnar encodings) suffix; with
-// legacy compression on it is written through whole-stream flate under
-// CompressExt. Record counts and payload bytes in the descriptor are
-// always pre-compression.
+// components are sanitized into a flat, safe file name, published with
+// the at-rest suffix of the bucket's block kind and codec. Record
+// counts and payload bytes in the descriptor are always
+// pre-compression.
 func (s *Store) Create(name string) (*Writer, error) {
 	return s.CreateOpts(name, CreateOpts{})
 }
@@ -450,18 +355,11 @@ func (s *Store) CreateOpts(name string, opts CreateOpts) (*Writer, error) {
 	if name == "" {
 		return nil, fmt.Errorf("bucket: empty bucket name")
 	}
-	if s.dir == "" {
-		buf := &bytes.Buffer{}
-		return &Writer{store: s, name: name, buf: buf, w: kvio.NewWriter(buf)}, nil
-	}
-	c, enc, blockSize := s.codecOn()
+	c, enc, blockSize := s.writeSettings()
 	if opts.BlockEncoding != "" {
 		var err error
 		if enc, err = kvio.ParseBlockEncoding(opts.BlockEncoding); err != nil {
 			return nil, fmt.Errorf("bucket: %w", err)
-		}
-		if !enc.Columnar && opts.Codec == "" && s.dirCodec() == nil {
-			c = nil // pinned back to row on a store with no codec: legacy forms
 		}
 	}
 	if opts.Codec != "" {
@@ -471,41 +369,21 @@ func (s *Store) CreateOpts(name string, opts CreateOpts) (*Writer, error) {
 		}
 		c = oc
 	}
-	if c == nil && enc.Columnar {
-		c = wirecodec.Identity()
-	}
-	flat := flatten(name)
-	w := &Writer{store: s, name: name, form: atRest{path: filepath.Join(s.dir, flat), blockCodec: c, columnar: enc.Columnar}}
-	w.out = spillWriter{dir: s.dir, pattern: "." + flat + ".tmp-*"}
-	if s.held != nil {
-		w.out.limit = MemBucketBytes
-	} else if err := w.out.spill(); err != nil {
-		return nil, fmt.Errorf("bucket: creating %s: %w", w.form.path, err)
-	}
-	if c != nil {
-		if enc.Columnar {
-			w.form.path += ColExt + c.Ext()
-		} else {
-			w.form.path += BlockExt + c.Ext()
-		}
-		w.bw = kvio.NewBlockWriterEnc(&w.out, c, blockSize, enc)
-	} else if s.compressOn() {
-		w.form.path += CompressExt
-		w.form.legacyFlate = true
-		w.cw = deflateCodec().NewWriter(&w.out)
-		w.w = kvio.NewWriter(w.cw)
+	w := &Writer{store: s, name: name, form: atRest{codec: c, columnar: enc.Columnar}}
+	if s.dir == "" {
+		w.out.limit = math.MaxInt
 	} else {
-		w.w = kvio.NewWriter(&w.out)
+		flat := flatten(name)
+		w.form.path = filepath.Join(s.dir, flat) + w.form.suffix()
+		w.out = spillWriter{dir: s.dir, pattern: "." + flat + ".tmp-*"}
+		if s.held != nil {
+			w.out.limit = MemBucketBytes
+		} else if err := w.out.spill(); err != nil {
+			return nil, fmt.Errorf("bucket: creating %s: %w", w.form.path, err)
+		}
 	}
+	w.bw = kvio.NewBlockWriterEnc(&w.out, c, blockSize, enc)
 	return w, nil
-}
-
-// dirCodec returns the store's configured block codec without the
-// columnar-implies-blocks defaulting codecOn applies.
-func (s *Store) dirCodec() wirecodec.Codec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.codec
 }
 
 // Write appends one record to the bucket.
@@ -513,10 +391,7 @@ func (w *Writer) Write(p kvio.Pair) error {
 	if w.closed {
 		return fmt.Errorf("bucket: write after close")
 	}
-	if w.bw != nil {
-		return w.bw.Write(p)
-	}
-	return w.w.Write(p)
+	return w.bw.Write(p)
 }
 
 // Emit implements kvio.Emitter.
@@ -530,35 +405,19 @@ func (w *Writer) Close() (Descriptor, error) {
 		return Descriptor{}, fmt.Errorf("bucket: double close")
 	}
 	w.closed = true
-	var (
-		d   Descriptor
-		err error
-	)
-	if w.bw != nil {
-		d = Descriptor{Name: w.name, Records: w.bw.Count(), Bytes: w.bw.Bytes()}
-		err = w.bw.Close()
-		if n := w.bw.ColumnarBlocks(); n > 0 {
-			w.store.wireCounter(obs.MetricBlocksColumnar).Add(n)
-		}
-	} else {
-		d = Descriptor{Name: w.name, Records: w.w.Count(), Bytes: w.w.Bytes()}
-		err = w.w.Flush()
-		w.w.Release()
-		if w.cw != nil {
-			if cerr := w.cw.Close(); err == nil {
-				err = cerr // flushes the final flate block, recycles pooled state
-			}
-			w.cw = nil
-		}
+	d := Descriptor{Name: w.name, Records: w.bw.Count(), Bytes: w.bw.Bytes()}
+	err := w.bw.Close()
+	if n := w.bw.ColumnarBlocks(); n > 0 {
+		w.store.wireCounter(obs.MetricBlocksColumnar).Add(n)
 	}
 	if err != nil {
 		w.out.abort()
 		return Descriptor{}, err
 	}
 	s := w.store
-	if w.buf != nil {
+	if s.dir == "" {
 		s.mu.Lock()
-		s.mem[w.name] = w.buf.Bytes()
+		s.mem[w.name] = w.out.buf
 		s.mu.Unlock()
 		d.URL = fmt.Sprintf("mem:%d/%s", s.id, w.name)
 		return d, nil
@@ -568,7 +427,7 @@ func (w *Writer) Close() (Descriptor, error) {
 	}
 	if s.baseURL != "" {
 		// http URLs never carry the at-rest suffix: the data server
-		// resolves the at-rest form and negotiates the wire encoding.
+		// resolves the at-rest form and negotiates the wire codec.
 		d.URL = s.baseURL + "/" + url.PathEscape(flatten(w.name))
 	} else {
 		d.URL = "file://" + w.form.path
@@ -714,35 +573,18 @@ func (s *Store) Remove(name string) error {
 		return nil
 	}
 	// A bucket may exist in any at-rest form depending on the codec and
-	// compression settings when it was written; remove every variant.
-	path := filepath.Join(s.dir, flat)
-	err := os.Remove(path)
-	for _, suffix := range atRestSuffixes() {
-		if ferr := os.Remove(path + suffix); err != nil && ferr == nil {
-			err = nil
+	// encoding it was written with; remove every variant.
+	var err error
+	for _, form := range atRestForms(filepath.Join(s.dir, flat)) {
+		if ferr := os.Remove(form.path); ferr != nil && !os.IsNotExist(ferr) {
+			err = ferr
 		}
-	}
-	if os.IsNotExist(err) {
-		return nil
 	}
 	return err
 }
 
-// atRestSuffixes lists every non-plain at-rest suffix a bucket file can
-// carry: a row-block and a columnar form per registered codec, plus the
-// legacy flate form.
-func atRestSuffixes() []string {
-	names := wirecodec.Names()
-	out := make([]string, 0, 2*len(names)+1)
-	for _, name := range names {
-		c, _ := wirecodec.Lookup(name)
-		out = append(out, BlockExt+c.Ext(), ColExt+c.Ext())
-	}
-	return append(out, CompressExt)
-}
-
 // RemoveJob deletes every local bucket in one job's namespace (names
-// prefixed "j<job>/", stored flattened as "j<job>_"), in either
+// prefixed "j<job>/", stored flattened as "j<job>_"), in any
 // at-rest form. This is the slave- and master-side reclaim that runs
 // when a job completes; the flattened prefix keeps "j1_" from matching
 // "j10_..." because the separator is part of the prefix. Returns how
@@ -790,32 +632,73 @@ func (s *Store) RemoveJob(job int64) (int, error) {
 	return n, firstErr
 }
 
-// atRest describes one resolved at-rest bucket file.
+// atRest describes one at-rest bucket file: its path, the codec its
+// blocks are compressed with, and its block kind.
 type atRest struct {
-	path        string
-	blockCodec  wirecodec.Codec // non-nil: block-framed file, blocks under this codec
-	columnar    bool            // block file holds columnar frames (ColExt)
-	legacyFlate bool            // legacy whole-stream flate file
+	path     string
+	codec    wirecodec.Codec
+	columnar bool // columnar blocks (ColExt), else row blocks (BlockExt)
 }
 
-// resolveAtRest finds which at-rest form exists for the plain path:
-// the plain legacy file, a block file (row or columnar, any registered
-// codec's suffix), or the legacy flate file.
-func resolveAtRest(path string) (atRest, error) {
-	if _, err := os.Stat(path); err == nil {
-		return atRest{path: path}, nil
+// suffix is the file-name suffix naming the form.
+func (a atRest) suffix() string {
+	if a.columnar {
+		return ColExt + a.codec.Ext()
 	}
-	for _, name := range wirecodec.Names() {
+	return BlockExt + a.codec.Ext()
+}
+
+// kind is the block kind's wire name.
+func (a atRest) kind() string {
+	if a.columnar {
+		return wirecodec.BlockKindColumnar
+	}
+	return wirecodec.BlockKindRow
+}
+
+// atRestForms lists the path of every at-rest form a bucket whose
+// suffix-less path is path can take: row and columnar blocks under
+// each registered codec.
+func atRestForms(path string) []atRest {
+	names := wirecodec.Names()
+	out := make([]atRest, 0, 2*len(names))
+	for _, name := range names {
 		c, _ := wirecodec.Lookup(name)
-		if p := path + BlockExt + c.Ext(); statOK(p) {
-			return atRest{path: p, blockCodec: c}, nil
-		}
-		if p := path + ColExt + c.Ext(); statOK(p) {
-			return atRest{path: p, blockCodec: c, columnar: true}, nil
+		for _, columnar := range []bool{false, true} {
+			form := atRest{codec: c, columnar: columnar}
+			form.path = path + form.suffix()
+			out = append(out, form)
 		}
 	}
-	if _, err := os.Stat(path + CompressExt); err == nil {
-		return atRest{path: path + CompressExt, legacyFlate: true}, nil
+	return out
+}
+
+// parseAtRest classifies a bucket file by the suffix of its base name,
+// reporting false for a name that carries no at-rest suffix. Only the
+// base name counts: a directory named like "run.mrc.d" says nothing
+// about the files under it.
+func parseAtRest(path string) (atRest, bool) {
+	base := filepath.Base(path)
+	for _, form := range atRestForms("") {
+		if strings.HasSuffix(base, form.suffix()) {
+			form.path = path
+			return form, true
+		}
+	}
+	return atRest{}, false
+}
+
+// resolveAtRest finds the bucket file for path: path itself when its
+// name already carries an at-rest suffix (a file:// URL's path), else
+// whichever at-rest form of the suffix-less path exists.
+func resolveAtRest(path string) (atRest, error) {
+	if form, ok := parseAtRest(path); ok && statOK(path) {
+		return form, nil
+	}
+	for _, form := range atRestForms(path) {
+		if statOK(form.path) {
+			return form, nil
+		}
 	}
 	return atRest{}, fmt.Errorf("bucket: %s: %w", path, os.ErrNotExist)
 }
@@ -825,10 +708,8 @@ func statOK(path string) bool {
 	return err == nil
 }
 
-// OpenLocal returns a reader for a bucket created by this store,
-// undoing any whole-stream compression. Block-framed files come back
-// verbatim — block compression lives inside the framing and the stream
-// is self-describing, so record consumers go through kvio.NewAnyReader.
+// OpenLocal returns a bucket created by this store as the block stream
+// it was written as; decode it with kvio.NewBlockReader.
 func (s *Store) OpenLocal(name string) (io.ReadCloser, error) {
 	if s.dir == "" {
 		s.mu.Lock()
@@ -841,20 +722,13 @@ func (s *Store) OpenLocal(name string) (io.ReadCloser, error) {
 	}
 	flat := flatten(name)
 	if hb, ok := s.lookupHeld(flat); ok {
-		return hb.open(), nil
+		return io.NopCloser(bytes.NewReader(hb.data)), nil
 	}
 	ar, err := resolveAtRest(filepath.Join(s.dir, flat))
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(ar.path)
-	if err != nil {
-		return nil, err
-	}
-	if ar.legacyFlate {
-		return &drainReadCloser{r: deflateCodec().NewReader(f), under: f}, nil
-	}
-	return f, nil
+	return os.Open(ar.path)
 }
 
 // ServeName maps an escaped bucket file name (as it appears in an http
@@ -876,7 +750,7 @@ func (s *Store) ServeName(escaped string) (string, error) {
 // ServeData is the data server: it serves the bucket named by an
 // escaped URL path element (what follows "/data/" in the URL the store
 // advertises) from memory when held, otherwise from its file, through
-// ServeBucket's wire negotiation either way.
+// ServeBucket's codec negotiation either way.
 func (s *Store) ServeData(w http.ResponseWriter, r *http.Request, escaped string) {
 	path, err := s.ServeName(escaped)
 	if err != nil {
@@ -890,11 +764,11 @@ func (s *Store) ServeData(w http.ResponseWriter, r *http.Request, escaped string
 	ServeBucket(w, r, path)
 }
 
+// flattener maps a hierarchical bucket name to a safe flat file name.
+var flattener = strings.NewReplacer("/", "_", "\\", "_", "..", "_", ":", "_")
+
 // flatten converts a hierarchical bucket name into a safe flat file name.
-func flatten(name string) string {
-	r := strings.NewReplacer("/", "_", "\\", "_", "..", "_", ":", "_")
-	return r.Replace(name)
-}
+func flatten(name string) string { return flattener.Replace(name) }
 
 // ---------------------------------------------------------------------------
 // Opening by URL
@@ -921,12 +795,10 @@ var httpClient = &http.Client{Timeout: HTTPTimeout, Transport: DefaultTransport}
 // Open resolves a bucket URL. mem: URLs must belong to this store;
 // file:// URLs are opened directly; http:// URLs are fetched with
 // bounded retries (transient fetch failures are expected during slave
-// churn and must not kill a reduce task immediately). Whole-stream
-// compression (a legacy CompressExt suffix or a deflate
-// Content-Encoding) is transparently undone; block-framed streams come
-// back verbatim — their compression lives inside the framing, which
-// kvio.NewAnyReader decodes — so wire-byte counters see the compressed
-// size either way and record consumers the decoded size.
+// churn and must not kill a reduce task immediately). The stream comes
+// back verbatim — its compression lives inside the block framing, which
+// kvio.NewBlockReader decodes — so wire-byte counters see the
+// compressed size and record consumers the decoded size.
 func (s *Store) Open(rawURL string) (io.ReadCloser, error) {
 	switch {
 	case strings.HasPrefix(rawURL, "mem:"):
@@ -945,14 +817,13 @@ func (s *Store) Open(rawURL string) (io.ReadCloser, error) {
 		if err != nil {
 			return nil, err
 		}
-		rc := s.counting(f, obs.MetricWireBytesShared, fileCodecName(path), fileEncodingName(path))
-		// ".mrb.fz"/".mrc.fz" end in ".fz" too, but block files carry no
-		// outer compression layer — only a bare CompressExt means legacy
-		// flate.
-		if i, _ := blockExtIndex(path); i < 0 && strings.HasSuffix(path, CompressExt) {
-			return &drainReadCloser{r: deflateCodec().NewReader(rc), under: rc}, nil
+		// A name with no at-rest suffix (a line-format input file) counts
+		// as identity row bytes.
+		form, ok := parseAtRest(path)
+		if !ok {
+			form.codec = wirecodec.Identity()
 		}
-		return rc, nil
+		return s.counting(f, obs.MetricWireBytesShared, form.codec.Name(), form.kind()), nil
 	case strings.HasPrefix(rawURL, "http://"), strings.HasPrefix(rawURL, "https://"):
 		return s.openHTTP(rawURL)
 	}
@@ -982,19 +853,9 @@ func (s *Store) openHTTP(rawURL string) (io.ReadCloser, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Advertise every registered block codec so a block-serving peer
-		// can send (or cheaply transcode to) the best mutual one, and
-		// deflate so a legacy compressing server can send its at-rest
-		// bytes verbatim. Servers that know neither header ignore both
-		// and serve identity — the mixed-version fallback.
+		// Advertise every registered codec so the server can send its
+		// at-rest bytes verbatim, or transcode to the best mutual codec.
 		req.Header.Set(wirecodec.RequestHeader, wirecodec.AcceptHeader())
-		// Advertise both block kinds; a peer holding columnar data can
-		// then send it verbatim instead of transcoding to row blocks.
-		// The rowOnlyFetch hook omits the header to look pre-columnar.
-		if !s.rowOnlyFetchOn() {
-			req.Header.Set(wirecodec.BlockAcceptHeader, wirecodec.AcceptBlocksHeader())
-		}
-		req.Header.Set("Accept-Encoding", "deflate")
 		resp, err := client.Do(req)
 		if err != nil {
 			lastErr = err
@@ -1010,26 +871,17 @@ func (s *Store) openHTTP(rawURL string) (io.ReadCloser, error) {
 			}
 			continue
 		}
-		// Per-codec accounting: a block response names its codec in
-		// CodecHeader; a legacy response is deflate or identity per
-		// Content-Encoding.
+		// Per-codec and per-block-kind accounting from the headers the
+		// data server names them in.
 		codecName := resp.Header.Get(wirecodec.CodecHeader)
-		deflated := resp.Header.Get("Content-Encoding") == "deflate"
 		if codecName == "" {
 			codecName = wirecodec.IdentityName
-			if deflated {
-				codecName = wirecodec.DeflateName
-			}
 		}
 		encName := resp.Header.Get(wirecodec.BlockEncHeader)
 		if encName == "" {
 			encName = wirecodec.BlockKindRow
 		}
-		rc := s.counting(resp.Body, obs.MetricWireBytesDirect, codecName, encName)
-		if deflated {
-			return &drainReadCloser{r: deflateCodec().NewReader(rc), under: rc}, nil
-		}
-		return rc, nil
+		return s.counting(resp.Body, obs.MetricWireBytesDirect, codecName, encName), nil
 	}
 	return nil, lastErr
 }
@@ -1054,29 +906,6 @@ func (c *countingReadCloser) Read(p []byte) (int, error) {
 }
 
 func (c *countingReadCloser) Close() error { return c.rc.Close() }
-
-// drainReadCloser decompresses a whole-stream codec layer and closes
-// both layers.
-type drainReadCloser struct {
-	r     io.ReadCloser // the codec layer
-	under io.ReadCloser
-}
-
-func (f *drainReadCloser) Read(p []byte) (int, error) { return f.r.Read(p) }
-
-func (f *drainReadCloser) Close() error {
-	// flate knows the stream ended from the final-block bit without ever
-	// observing the underlying reader's EOF, so an HTTP response body
-	// would look partially read and the connection would be torn down
-	// instead of returned to the keep-alive pool. Drain the (normally
-	// zero) remainder so the transport sees EOF and reuses the socket.
-	io.CopyN(io.Discard, f.under, 512)
-	if f.r != nil {
-		f.r.Close() // recycles the codec's pooled state
-		f.r = nil
-	}
-	return f.under.Close()
-}
 
 // Fetch reads an entire bucket into memory. Unlike Open, a remote fetch
 // that dies mid-stream is retried whole — the caller gets either the
@@ -1114,32 +943,14 @@ func (s *Store) Fetch(rawURL string) ([]byte, error) {
 	return nil, lastErr
 }
 
-// acceptsDeflate reports whether the request allows a deflate response.
-func acceptsDeflate(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, _, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if enc == "deflate" {
-			return true
-		}
-	}
-	return false
-}
-
-// ServeBucket writes the bucket file at path (as resolved by ServeName)
-// to an HTTP response, negotiating the wire form per at-rest variant:
-//
-//   - plain legacy file: served verbatim (every client reads it).
-//   - legacy flate file: verbatim with Content-Encoding: deflate when
-//     the client accepts deflate (zero-CPU wire compression), otherwise
-//     decompressed into the response.
-//   - block file: verbatim with CodecHeader set when the client's
-//     advertised codec list (RequestHeader) includes the at-rest codec;
-//     transcoded block-to-block to the best mutual codec otherwise
-//     (identity fallback — a client advertising only unknown codecs
-//     still gets blocks it can decode); flattened to a legacy record
-//     stream for clients that sent no codec advertisement at all,
-//     deflate-wrapped when they accept it. Mixed-version fleets always
-//     land on a form both sides speak.
+// ServeBucket writes the bucket file at path (as resolved by ServeName,
+// with or without its at-rest suffix) to an HTTP response. The client
+// advertises the codecs it decodes in RequestHeader; the at-rest bytes
+// go out verbatim when it accepts their codec (or they are identity,
+// which every client decodes), otherwise transcoded block-to-block to
+// the best mutual codec. CodecHeader and BlockEncHeader name what was
+// sent. A bucket that cannot be read, or whose blocks fail to decode
+// for a transcode, is answered 404, like a lost one.
 func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {
 	ar, err := resolveAtRest(path)
 	if err != nil {
@@ -1161,76 +972,29 @@ func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {
 }
 
 // serveAtRest writes one bucket's at-rest bytes (size bytes from body,
-// in form ar) to an HTTP response in the wire form ServeBucket
-// describes.
+// in form ar) to an HTTP response as ServeBucket describes.
 func serveAtRest(w http.ResponseWriter, r *http.Request, ar atRest, body io.Reader, size int64) {
-	switch {
-	case ar.blockCodec != nil:
-		serveBlockBucket(w, r, ar, body, size)
-	case !ar.legacyFlate:
-		w.Header().Set("Content-Length", fmt.Sprint(size))
-		io.Copy(w, body)
-	case acceptsDeflate(r):
-		w.Header().Set("Content-Encoding", "deflate")
-		w.Header().Set("Content-Length", fmt.Sprint(size))
-		io.Copy(w, body)
-	default:
-		fr := deflateCodec().NewReader(body)
-		io.Copy(w, fr)
-		fr.Close()
-	}
-}
-
-// serveBlockBucket serves one block-framed bucket, picking the wire
-// form the client can decode along both negotiation axes: the codec
-// (RequestHeader) and the block kind (BlockAcceptHeader). A columnar
-// bucket served to a peer that never advertised block kinds — a
-// pre-columnar build — is transcoded down to row blocks, so
-// mixed-version fleets keep exchanging data.
-func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest, body io.Reader, size int64) {
 	accepted := wirecodec.ParseAccept(r.Header.Get(wirecodec.RequestHeader))
-	kind := wirecodec.BlockKindRow
-	if ar.columnar {
-		kind = wirecodec.BlockKindColumnar
+	to := ar.codec
+	if !wirecodec.Accepts(accepted, to.Name()) {
+		to = wirecodec.Negotiate(accepted) // identity when nothing is mutual
 	}
-	kindOK := wirecodec.AcceptsBlock(r.Header.Get(wirecodec.BlockAcceptHeader), kind)
-	switch {
-	case kindOK && wirecodec.Accepts(accepted, ar.blockCodec.Name()):
-		// Best case: the at-rest bytes are already in a codec and block
-		// kind the client decodes — send them verbatim, zero CPU.
-		w.Header().Set(wirecodec.CodecHeader, ar.blockCodec.Name())
-		w.Header().Set(wirecodec.BlockEncHeader, kind)
-		w.Header().Set("Content-Length", fmt.Sprint(size))
-		io.Copy(w, body)
-	case kindOK && len(accepted) > 0:
-		// A block-capable client that can't decode the at-rest codec:
-		// transcode block-to-block into the best mutual codec. Columnar
-		// frames are recompressed column-wise without re-parsing records.
-		// Unknown advertised names fall through to identity inside
-		// Negotiate, so this arm is also the forward-compatibility path.
-		to := wirecodec.Negotiate(accepted)
-		w.Header().Set(wirecodec.CodecHeader, to.Name())
-		w.Header().Set(wirecodec.BlockEncHeader, kind)
-		kvio.TranscodeBlocks(w, body, to)
-	case len(accepted) > 0:
-		// Block-capable but row-only client (a pre-columnar build) and a
-		// columnar bucket: flatten every frame into row blocks under the
-		// best mutual codec — the mixed-version fallback.
-		to := wirecodec.Negotiate(accepted)
-		w.Header().Set(wirecodec.CodecHeader, to.Name())
-		w.Header().Set(wirecodec.BlockEncHeader, wirecodec.BlockKindRow)
-		kvio.TranscodeToRowBlocks(w, body, to)
-	case acceptsDeflate(r):
-		// Pre-block client that speaks the legacy deflate negotiation:
-		// flatten blocks to a record stream under Content-Encoding.
-		w.Header().Set("Content-Encoding", "deflate")
-		cw := deflateCodec().NewWriter(w)
-		kvio.TranscodeToRecords(cw, body)
-		cw.Close()
-	default:
-		// Identity legacy client.
-		kvio.TranscodeToRecords(w, body)
+	if to.Name() != ar.codec.Name() {
+		// Transcode in memory, so a block that fails to decode turns
+		// into an error answer instead of a truncated 200. Columnar
+		// frames are recompressed column-wise without re-parsing
+		// records. Fleet peers advertise every codec and never get here.
+		var buf bytes.Buffer
+		if err := kvio.TranscodeBlocks(&buf, body, to); err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		body, size = &buf, int64(buf.Len())
 	}
+	w.Header().Set(wirecodec.CodecHeader, to.Name())
+	w.Header().Set(wirecodec.BlockEncHeader, ar.kind())
+	w.Header().Set("Content-Length", fmt.Sprint(size))
+	io.Copy(w, body)
 }
 
 // ReadAll opens a URL and decodes every record. Remote fetches that die
@@ -1251,11 +1015,12 @@ func (s *Store) ReadAll(rawURL string) ([]kvio.Pair, error) {
 		if err != nil {
 			return nil, err // Open already retried transport errors
 		}
-		// Sniffing reader: the stream may be either framing depending on
-		// the producer's codec setting and the server's negotiation.
-		r := kvio.NewAnyReader(rc)
-		pairs, err := r.ReadAll()
-		r.Release()
+		r, err := kvio.NewBlockReader(rc)
+		var pairs []kvio.Pair
+		if err == nil {
+			pairs, err = r.ReadAll()
+			r.Release()
+		}
 		rc.Close()
 		if err == nil {
 			return pairs, nil

@@ -120,7 +120,9 @@ func TestHTTPFetch(t *testing.T) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		http.ServeFile(w, r, path)
+		// A default bucket is identity row blocks, which any static
+		// file server can serve as they are.
+		http.ServeFile(w, r, path+BlockExt)
 	}))
 	defer srv.Close()
 

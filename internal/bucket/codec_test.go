@@ -46,7 +46,7 @@ func TestBlockBucketRoundTripLocal(t *testing.T) {
 					t.Errorf("%s at-rest size %d not smaller than payload %d", name, fi.Size(), d.Bytes)
 				}
 			}
-			// Via the URL and via OpenLocal + sniffing reader.
+			// Via the URL and via OpenLocal.
 			got, err := s.ReadAll(d.URL)
 			if err != nil {
 				t.Fatal(err)
@@ -59,17 +59,26 @@ func TestBlockBucketRoundTripLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rc.Close()
-			r := kvio.NewAnyReader(rc)
-			defer r.Release()
-			got, err = r.ReadAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pairsEqual(got, in) {
+			if got := decodeBlocks(t, rc); !pairsEqual(got, in) {
 				t.Fatal("block round trip via OpenLocal lost data")
 			}
 		})
 	}
+}
+
+// decodeBlocks reads a whole bucket block stream.
+func decodeBlocks(t testing.TB, r io.Reader) []kvio.Pair {
+	t.Helper()
+	br, err := kvio.NewBlockReader(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Release()
+	pairs, err := br.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pairs
 }
 
 func TestSetCodecRejectsUnknown(t *testing.T) {
@@ -163,10 +172,9 @@ func TestBlockBucketServedVerbatim(t *testing.T) {
 	}
 }
 
-// TestNegotiationUnknownCodecFallsBackToIdentity is the mixed-version
-// guarantee: a client advertising only a codec this server has never
-// heard of still gets blocks — identity-encoded — and decodes the
-// byte-identical record sequence.
+// TestNegotiationUnknownCodecFallsBackToIdentity: a client advertising
+// only a codec this server has never heard of still gets blocks —
+// identity-encoded — and decodes the byte-identical record sequence.
 func TestNegotiationUnknownCodecFallsBackToIdentity(t *testing.T) {
 	dir := t.TempDir()
 	server, _ := NewFileStore(dir, "")
@@ -196,13 +204,7 @@ func TestNegotiationUnknownCodecFallsBackToIdentity(t *testing.T) {
 	}
 	// The body must be identity-encoded blocks: byte-identical to the
 	// at-rest file transcoded to identity, and decodable without lz.
-	r := kvio.NewAnyReader(strings.NewReader(string(body)))
-	defer r.Release()
-	pairs, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pairsEqual(pairs, in) {
+	if pairs := decodeBlocks(t, strings.NewReader(string(body))); !pairsEqual(pairs, in) {
 		t.Fatal("identity-fallback response lost data")
 	}
 	// Every payload byte is uncompressed: the body must be at least as
@@ -212,10 +214,11 @@ func TestNegotiationUnknownCodecFallsBackToIdentity(t *testing.T) {
 	}
 }
 
-// TestBlockBucketLegacyClients: pre-block clients (no codec header) get
-// a legacy record stream they can already parse — deflate-wrapped when
-// they accept it, identity otherwise.
-func TestBlockBucketLegacyClients(t *testing.T) {
+// TestBlockBucketUnadvertisedClientGetsIdentity: a client that sends
+// no codec advertisement at all (curl, a plain http.Get) gets the
+// deflate at-rest bucket transcoded to identity blocks, the codec every
+// reader decodes.
+func TestBlockBucketUnadvertisedClientGetsIdentity(t *testing.T) {
 	dir := t.TempDir()
 	server, _ := NewFileStore(dir, "")
 	if err := server.SetCodec(wirecodec.DeflateName); err != nil {
@@ -227,55 +230,17 @@ func TestBlockBucketLegacyClients(t *testing.T) {
 	}
 	srv := serveStore(server)
 	defer srv.Close()
-	url := srv.URL + "/data/ds1_t0_s0"
 
-	// Identity legacy client: plain record stream, no headers needed.
-	req, _ := http.NewRequest(http.MethodGet, url, nil)
-	req.Header.Set("Accept-Encoding", "identity") // suppress Go's implicit gzip
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get(srv.URL + "/data/ds1_t0_s0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if enc := resp.Header.Get("Content-Encoding"); enc != "" {
-		t.Fatalf("identity legacy client got Content-Encoding %q", enc)
+	if ch := resp.Header.Get(wirecodec.CodecHeader); ch != wirecodec.IdentityName {
+		t.Fatalf("unadvertised client got codec %q, want identity", ch)
 	}
-	if ch := resp.Header.Get(wirecodec.CodecHeader); ch != "" {
-		t.Fatalf("legacy client got CodecHeader %q", ch)
-	}
-	kr := kvio.NewReader(resp.Body) // strictly the legacy reader
-	defer kr.Release()
-	got, err := kr.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pairsEqual(got, in) {
-		t.Fatal("legacy identity client lost data")
-	}
-
-	// Deflate legacy client: the old wire form, via the store with its
-	// codec advertisement stripped (simulating a pre-block binary).
-	req2, _ := http.NewRequest(http.MethodGet, url, nil)
-	req2.Header.Set("Accept-Encoding", "deflate")
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if enc := resp2.Header.Get("Content-Encoding"); enc != "deflate" {
-		t.Fatalf("deflate legacy client got Content-Encoding %q", enc)
-	}
-	dc, _ := wirecodec.Lookup(wirecodec.DeflateName)
-	fr := dc.NewReader(resp2.Body)
-	kr2 := kvio.NewReader(fr)
-	got2, err := kr2.ReadAll()
-	kr2.Release()
-	fr.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pairsEqual(got2, in) {
-		t.Fatal("legacy deflate client lost data")
+	if got := decodeBlocks(t, resp.Body); !pairsEqual(got, in) {
+		t.Fatal("unadvertised client lost data")
 	}
 }
 
@@ -304,13 +269,7 @@ func TestBlockBucketTranscodeBetweenCodecs(t *testing.T) {
 	if got := resp.Header.Get(wirecodec.CodecHeader); got != wirecodec.DeflateName {
 		t.Errorf("CodecHeader = %q, want deflate (best mutual)", got)
 	}
-	r := kvio.NewAnyReader(resp.Body)
-	defer r.Release()
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pairsEqual(got, in) {
+	if got := decodeBlocks(t, resp.Body); !pairsEqual(got, in) {
 		t.Fatal("transcoded response lost data")
 	}
 }

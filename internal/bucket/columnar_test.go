@@ -53,8 +53,7 @@ func TestColumnarBucketRoundTripLocal(t *testing.T) {
 }
 
 // TestColumnarImpliesBlocks: columnar framing with no block codec set
-// still writes block files (identity codec) — the legacy per-record
-// forms have no columnar representation.
+// writes identity-codec columnar blocks.
 func TestColumnarImpliesBlocks(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := NewFileStore(dir, "")
@@ -118,7 +117,7 @@ func TestCreateOptsOverrides(t *testing.T) {
 		t.Fatalf("pinned columnar bucket round trip: %v", err)
 	}
 
-	// Columnar store, bucket pinned back to row: legacy form again.
+	// Columnar store, bucket pinned back to row: identity row blocks.
 	if err := s.SetBlockEncoding(kvio.EncColumnar); err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +129,8 @@ func TestCreateOptsOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(d2.URL, ColExt) || strings.Contains(d2.URL, BlockExt) {
-		t.Fatalf("row-pinned bucket URL %q should be a legacy file", d2.URL)
+	if !strings.HasSuffix(d2.URL, "_s1"+BlockExt) {
+		t.Fatalf("row-pinned bucket URL %q should end in bare %s", d2.URL, BlockExt)
 	}
 
 	if _, err := s.CreateOpts("ds1/t0/s2", CreateOpts{Codec: "zstd-from-the-future"}); err == nil {
@@ -180,9 +179,10 @@ func columnarServer(t *testing.T, in []kvio.Pair) (*Store, string, func()) {
 	return server, srv.URL + "/data/ds1_t0_s0", srv.Close
 }
 
-// TestColumnarBucketServedVerbatim: a columnar-capable client that
-// decodes the at-rest codec gets the file bytes untouched, with both
-// negotiation headers set.
+// TestColumnarBucketServedVerbatim: a client that decodes the at-rest
+// codec gets the columnar file bytes untouched, with the codec and
+// block kind named in the response headers, and a store client counts
+// every wire byte as columnar.
 func TestColumnarBucketServedVerbatim(t *testing.T) {
 	in := compressiblePairs()
 	server, url, done := columnarServer(t, in)
@@ -190,7 +190,6 @@ func TestColumnarBucketServedVerbatim(t *testing.T) {
 
 	req, _ := http.NewRequest(http.MethodGet, url, nil)
 	req.Header.Set(wirecodec.RequestHeader, wirecodec.AcceptHeader())
-	req.Header.Set(wirecodec.BlockAcceptHeader, wirecodec.AcceptBlocksHeader())
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -213,125 +212,21 @@ func TestColumnarBucketServedVerbatim(t *testing.T) {
 	if !bytes.Equal(body, atRestBytes) {
 		t.Error("verbatim response differs from the at-rest file")
 	}
-	r := kvio.NewAnyReader(bytes.NewReader(body))
-	defer r.Release()
-	got, err := r.ReadAll()
-	if err != nil || !pairsEqual(got, in) {
-		t.Fatalf("verbatim columnar body mis-decodes: %v", err)
+	if got := decodeBlocks(t, bytes.NewReader(body)); !pairsEqual(got, in) {
+		t.Fatal("verbatim columnar body mis-decodes")
 	}
-}
-
-// TestColumnarRowOnlyClientGetsRowBlocks is the mixed-version fallback:
-// a block-capable client that never advertises block kinds (a
-// pre-columnar build) is served the columnar file transcoded down to
-// row blocks it can parse.
-func TestColumnarRowOnlyClientGetsRowBlocks(t *testing.T) {
-	in := compressiblePairs()
-	_, url, done := columnarServer(t, in)
-	defer done()
-
-	req, _ := http.NewRequest(http.MethodGet, url, nil)
-	req.Header.Set(wirecodec.RequestHeader, wirecodec.AcceptHeader())
-	// No BlockAcceptHeader: exactly what a pre-columnar peer sends.
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resp.Header.Get(wirecodec.BlockEncHeader); got != wirecodec.BlockKindRow {
-		t.Errorf("BlockEncHeader = %q, want row", got)
-	}
-	br, err := kvio.NewBlockReader(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Release()
-	var got []kvio.Pair
-	for {
-		rows, cb, _, err := br.NextAny()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cb != nil {
-			t.Fatal("row-only client received a columnar frame")
-		}
-		if _, err := kvio.ScanRecords(rows, func(k, v []byte) error {
-			got = append(got, kvio.Pair{Key: k, Value: v}.Clone())
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !pairsEqual(got, in) {
-		t.Fatal("row-block fallback lost data")
-	}
-}
-
-// TestColumnarLegacyClientGetsRecords: a pre-block client (no codec
-// advertisement at all) still reads a columnar bucket as a plain
-// legacy record stream.
-func TestColumnarLegacyClientGetsRecords(t *testing.T) {
-	in := compressiblePairs()
-	_, url, done := columnarServer(t, in)
-	defer done()
-
-	req, _ := http.NewRequest(http.MethodGet, url, nil)
-	req.Header.Set("Accept-Encoding", "identity") // suppress Go's implicit gzip
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	kr := kvio.NewReader(resp.Body) // strictly the legacy reader
-	defer kr.Release()
-	got, err := kr.ReadAll()
-	if err != nil || !pairsEqual(got, in) {
-		t.Fatalf("legacy client on columnar bucket: %v", err)
-	}
-}
-
-// TestSetRowOnlyFetch: a store in row-only-fetch mode pulls a columnar
-// bucket through the fallback and the per-encoding wire counters show
-// every byte moved as row blocks.
-func TestSetRowOnlyFetch(t *testing.T) {
-	in := compressiblePairs()
-	_, url, done := columnarServer(t, in)
-	defer done()
 
 	m := obs.NewMetrics()
 	client := NewMemStore()
 	client.SetMetrics(m)
-	client.SetRowOnlyFetch(true)
 	got, err := client.ReadAll(url)
 	if err != nil || !pairsEqual(got, in) {
-		t.Fatalf("row-only fetch: %v", err)
-	}
-	if n := m.Get(obs.MetricWireBytesEncoding(wirecodec.BlockKindColumnar)); n != 0 {
-		t.Errorf("row-only fetch counted %d columnar wire bytes", n)
-	}
-	if n := m.Get(obs.MetricWireBytesEncoding(wirecodec.BlockKindRow)); n == 0 {
-		t.Error("row-only fetch counted no row wire bytes")
-	}
-
-	// And with the hook off, the same fetch moves columnar bytes.
-	m2 := obs.NewMetrics()
-	client2 := NewMemStore()
-	client2.SetMetrics(m2)
-	got2, err := client2.ReadAll(url)
-	if err != nil || !pairsEqual(got2, in) {
 		t.Fatalf("columnar fetch: %v", err)
 	}
-	if n := m2.Get(obs.MetricWireBytesEncoding(wirecodec.BlockKindColumnar)); n == 0 {
-		t.Error("columnar-capable fetch counted no columnar wire bytes")
+	if n := m.Get(obs.MetricWireBytesEncoding(wirecodec.BlockKindColumnar)); n == 0 || n != m.Get(obs.MetricWireBytesDirect) {
+		t.Errorf("columnar wire bytes = %d, want all %d direct bytes", n, m.Get(obs.MetricWireBytesDirect))
 	}
-	if n := m2.Get(obs.MetricBlocksColumnar); n != 0 {
+	if n := m.Get(obs.MetricBlocksColumnar); n != 0 {
 		t.Errorf("mem client wrote no buckets but counted %d columnar blocks", n)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/kvio"
 	"repro/internal/obs"
+	"repro/internal/wirecodec"
 )
 
 func pairsEqual(a, b []kvio.Pair) bool {
@@ -43,6 +44,8 @@ func payloadBytes(pairs []kvio.Pair) int64 {
 	return n
 }
 
+// TestCompressedBucketRoundTripLocal: SetCompress writes deflate blocks
+// (".mrb.fz") when no codec is set.
 func TestCompressedBucketRoundTripLocal(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewFileStore(dir, "")
@@ -55,8 +58,8 @@ func TestCompressedBucketRoundTripLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasSuffix(d.URL, CompressExt) {
-		t.Fatalf("compressed file URL %q should carry %s", d.URL, CompressExt)
+	if want := BlockExt + wirecodec.DeflateExt; !strings.HasSuffix(d.URL, want) {
+		t.Fatalf("compressed file URL %q should carry %s", d.URL, want)
 	}
 	if d.Bytes != payloadBytes(in) {
 		t.Errorf("Descriptor.Bytes = %d, want pre-compression %d", d.Bytes, payloadBytes(in))
@@ -78,7 +81,10 @@ func TestCompressedBucketRoundTripLocal(t *testing.T) {
 				return nil, err
 			}
 			defer rc.Close()
-			r := kvio.NewReader(rc)
+			r, err := kvio.NewBlockReader(rc)
+			if err != nil {
+				return nil, err
+			}
 			defer r.Release()
 			return r.ReadAll()
 		},
@@ -103,7 +109,7 @@ func TestRemoveCompressedBucket(t *testing.T) {
 	if err := s.Remove("ds1/t0/s0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "ds1_t0_s0"+CompressExt)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "ds1_t0_s0"+BlockExt+wirecodec.DeflateExt)); !os.IsNotExist(err) {
 		t.Error("compressed bucket file survived Remove")
 	}
 	if err := s.Remove("ds1/t0/s0"); err != nil {
@@ -136,8 +142,8 @@ func TestCompressedBucketOverHTTP(t *testing.T) {
 	defer srv.Close()
 	url := srv.URL + "/data/ds1_t0_s0"
 
-	// The store client advertises deflate, so the wire bytes it counts
-	// must be the compressed size.
+	// The store client advertises every codec, so the deflate blocks go
+	// out verbatim and the wire bytes it counts are the compressed size.
 	m := obs.NewMetrics()
 	client := NewMemStore()
 	client.SetMetrics(m)
@@ -154,17 +160,20 @@ func TestCompressedBucketOverHTTP(t *testing.T) {
 		t.Errorf("wire bytes = %d, want 0 < wire < raw %d", wire, raw)
 	}
 
-	// A client that does not accept deflate must get the identity form:
-	// the server decompresses for it.
+	// A client that advertises no codec must get identity blocks: the
+	// server transcodes for it.
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if enc := resp.Header.Get("Content-Encoding"); enc != "" {
-		t.Fatalf("identity client got Content-Encoding %q", enc)
+	if c := resp.Header.Get(wirecodec.CodecHeader); c != wirecodec.IdentityName {
+		t.Fatalf("unadvertised client got codec %q, want identity", c)
 	}
-	r := kvio.NewReader(resp.Body)
+	r, err := kvio.NewBlockReader(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer r.Release()
 	got, err = r.ReadAll()
 	if err != nil {
@@ -197,6 +206,18 @@ func TestUncompressedServerIgnoresAcceptEncoding(t *testing.T) {
 	}
 	if wire := m.Get(obs.MetricWireBytesDirect); wire < payloadBytes(in) {
 		t.Errorf("identity wire bytes = %d, want >= payload %d", wire, payloadBytes(in))
+	}
+	// HTTP content negotiation plays no part: a deflate Accept-Encoding
+	// gets the identity blocks as they are.
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/data/ds1_t0_s0", nil)
+	req.Header.Set("Accept-Encoding", "deflate")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+		t.Errorf("server set Content-Encoding %q", enc)
 	}
 }
 

@@ -50,19 +50,16 @@ func serveData(s *Store) *httptest.Server {
 	}))
 }
 
-// oneRecordOfSize returns a single-record bucket whose legacy encoding
-// is exactly n bytes.
+// oneRecordOfSize returns a single-record bucket whose default
+// encoding (one identity row block) is exactly n bytes.
 func oneRecordOfSize(t *testing.T, n int) []kvio.Pair {
 	t.Helper()
-	for v := n - 8; v < n; v++ {
+	for v := n - 64; v < n; v++ {
 		pairs := []kvio.Pair{{Key: []byte("k"), Value: bytes.Repeat([]byte{'x'}, v)}}
 		var buf bytes.Buffer
-		w := kvio.NewWriter(&buf)
-		for _, p := range pairs {
-			w.Write(p)
-		}
-		w.Flush()
-		w.Release()
+		w := kvio.NewBlockWriter(&buf, nil, 0)
+		w.Write(pairs[0])
+		w.Close()
 		if buf.Len() == n {
 			return pairs
 		}
@@ -100,7 +97,7 @@ func TestMemTierBoundary(t *testing.T) {
 	if n, _ := s.Held(); n != 1 {
 		t.Fatalf("a %d-byte bucket was held in memory", MemBucketBytes+1)
 	}
-	if files := storeFiles(t, s); len(files) != 1 || files[0] != "j1_ds1_t0_s1" {
+	if files := storeFiles(t, s); len(files) != 1 || files[0] != "j1_ds1_t0_s1"+BlockExt {
 		t.Fatalf("spilled bucket files = %v", files)
 	}
 	if got := m.Get(obs.MetricBucketSpilled); got != 1 {
@@ -130,10 +127,10 @@ func TestMemTierBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := kvio.NewAnyReader(rc).ReadAll()
+	got := decodeBlocks(t, rc)
 	rc.Close()
-	if err != nil || !pairsEqual(got, fits) {
-		t.Errorf("OpenLocal of a held bucket: %v", err)
+	if !pairsEqual(got, fits) {
+		t.Error("OpenLocal of a held bucket lost data")
 	}
 }
 
@@ -178,10 +175,10 @@ func TestMemTierSpillStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := kvio.NewAnyReader(rc).ReadAll()
+	got := decodeBlocks(t, rc)
 	rc.Close()
-	if err != nil || !pairsEqual(got, want) {
-		t.Fatalf("spilled bucket read back wrong: %v", err)
+	if !pairsEqual(got, want) {
+		t.Fatal("spilled bucket read back wrong")
 	}
 }
 
@@ -197,7 +194,7 @@ func TestMemTierStoreCap(t *testing.T) {
 	if n, b := s.Held(); n != 2 || b != 2000 {
 		t.Fatalf("Held = %d / %d bytes, want 2 / 2000 under a 2500-byte cap", n, b)
 	}
-	if files := storeFiles(t, s); len(files) != 1 || files[0] != "j1_ds1_t2_s0" {
+	if files := storeFiles(t, s); len(files) != 1 || files[0] != "j1_ds1_t2_s0"+BlockExt {
 		t.Fatalf("the bucket crossing the cap should be the one file, got %v", files)
 	}
 	// Freeing room lets the next bucket into memory again.
@@ -215,9 +212,11 @@ func TestMemTierStoreCap(t *testing.T) {
 	}
 }
 
-// atRestForms lists every at-rest form a bucket can take: plain and
-// legacy flate records, and row and columnar blocks under each codec.
-func atRestForms() []struct {
+// storeSettings lists the store settings behind every at-rest form a
+// bucket can take: the default ("plain", identity row blocks), Compress
+// ("flate", deflate row blocks), and row and columnar blocks under each
+// codec.
+func storeSettings() []struct {
 	name     string
 	compress bool
 	codec    string
@@ -249,25 +248,17 @@ func memTierPairs() []kvio.Pair {
 
 // Serving a bucket from memory must be byte-identical to serving its
 // file, for every at-rest form and every negotiation arm: verbatim,
-// block transcode to each codec, the row-only flatten, and the legacy
-// deflate and identity record streams.
+// block transcode to each codec, and the identity fallback for clients
+// that advertise nothing or nothing known.
 func TestMemTierServesLikeFiles(t *testing.T) {
 	in := memTierPairs()
 	requests := map[string]map[string]string{
-		"fleet": {
-			wirecodec.RequestHeader:     wirecodec.AcceptHeader(),
-			wirecodec.BlockAcceptHeader: wirecodec.AcceptBlocksHeader(),
-			"Accept-Encoding":           "deflate",
-		},
-		"row-only":        {wirecodec.RequestHeader: wirecodec.AcceptHeader()},
-		"legacy-deflate":  {"Accept-Encoding": "deflate"},
-		"legacy-identity": {},
+		"fleet":   {wirecodec.RequestHeader: wirecodec.AcceptHeader()},
+		"none":    {},
+		"unknown": {wirecodec.RequestHeader: "zstd-from-the-future"},
 	}
 	for _, c := range wirecodec.Names() {
-		requests["only-"+c] = map[string]string{
-			wirecodec.RequestHeader:     c,
-			wirecodec.BlockAcceptHeader: wirecodec.AcceptBlocksHeader(),
-		}
+		requests["only-"+c] = map[string]string{wirecodec.RequestHeader: c}
 	}
 	raw := &http.Client{Transport: &http.Transport{DisableCompression: true}}
 	defer raw.CloseIdleConnections()
@@ -287,7 +278,7 @@ func TestMemTierServesLikeFiles(t *testing.T) {
 		}
 		return resp.Header, body
 	}
-	for _, f := range atRestForms() {
+	for _, f := range storeSettings() {
 		t.Run(f.name, func(t *testing.T) {
 			fileStore, err := NewFileStore(t.TempDir(), "")
 			if err != nil {
@@ -322,7 +313,7 @@ func TestMemTierServesLikeFiles(t *testing.T) {
 				if !bytes.Equal(fb, mb) {
 					t.Errorf("%s: memory body (%d bytes) differs from file body (%d bytes)", rname, len(mb), len(fb))
 				}
-				for _, h := range []string{wirecodec.CodecHeader, wirecodec.BlockEncHeader, "Content-Encoding", "Content-Length"} {
+				for _, h := range []string{wirecodec.CodecHeader, wirecodec.BlockEncHeader, "Content-Length"} {
 					if fh.Get(h) != mh.Get(h) {
 						t.Errorf("%s: %s = %q from memory, %q from file", rname, h, mh.Get(h), fh.Get(h))
 					}
@@ -401,11 +392,7 @@ func TestMemTierDuplicatePublish(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer rc.Close()
-		got, err := kvio.NewAnyReader(rc).ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
+		return decodeBlocks(t, rc)
 	}
 	put := func(pairs []kvio.Pair) func() (Descriptor, error) {
 		w, err := s.Create("j1/ds1/t0/s0")

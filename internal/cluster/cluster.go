@@ -54,22 +54,17 @@ type Options struct {
 	// Prefetch is the per-slave input-fetch window (0 = default,
 	// 1 = sequential streaming).
 	Prefetch int
-	// Compress makes every node write (and therefore serve) its buckets
-	// flate-compressed.
+	// Compress makes every node deflate its buckets' blocks when Codec
+	// is empty.
 	Compress bool
 	// Codec selects the compression codec every node writes its
-	// block-framed buckets with ("identity", "deflate", "lz"; "" keeps
-	// the legacy per-record framing). When both Codec and Compress are
-	// set, Codec wins. Unknown names fail Start.
+	// buckets' blocks with ("identity", "deflate", "lz"; "" = identity,
+	// or deflate under Compress). Unknown names fail Start.
 	Codec string
 	// BlockEncoding selects the block encoding every node writes its
 	// buckets with ("row", "columnar", "columnar-raw", "columnar-dict",
 	// "columnar-delta"; "" = row). Unknown names fail Start.
 	BlockEncoding string
-	// RowOnlyFetch makes every slave fetch like a pre-columnar peer
-	// (no columnar-accept header), forcing servers into the
-	// row-transcode fallback — the mixed-version ablation.
-	RowOnlyFetch bool
 	// BlockSize overrides the record-block flush threshold in bytes
 	// (0 = default).
 	BlockSize int
@@ -109,7 +104,6 @@ type Cluster struct {
 	compress     bool
 	codec        string
 	blockEnc     string
-	rowOnly      bool
 	blockSize    int
 	slaveCon     int
 	resident     int64
@@ -160,7 +154,6 @@ func Start(reg *core.Registry, opts Options) (*Cluster, error) {
 		Compress:              opts.Compress,
 		Codec:                 opts.Codec,
 		BlockEncoding:         opts.BlockEncoding,
-		RowOnlyFetch:          opts.RowOnlyFetch,
 		BlockSize:             opts.BlockSize,
 		MaxConcurrentJobs:     opts.MaxConcurrentJobs,
 		SpeculationFactor:     opts.SpeculationFactor,
@@ -170,7 +163,7 @@ func Start(reg *core.Registry, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{M: m, chaos: opts.Chaos, obs: opts.Obs, prefetch: opts.Prefetch, compress: opts.Compress, codec: opts.Codec, blockEnc: opts.BlockEncoding, rowOnly: opts.RowOnlyFetch, blockSize: opts.BlockSize, slaveCon: opts.SlaveConcurrency, resident: opts.ResidentBudget, heartbeatIvl: opts.HeartbeatInterval, heartbeatTO: opts.HeartbeatTimeout, specFactor: opts.SpeculationFactor, mopts: mopts, masterAddr: m.Addr()}
+	c := &Cluster{M: m, chaos: opts.Chaos, obs: opts.Obs, prefetch: opts.Prefetch, compress: opts.Compress, codec: opts.Codec, blockEnc: opts.BlockEncoding, blockSize: opts.BlockSize, slaveCon: opts.SlaveConcurrency, resident: opts.ResidentBudget, heartbeatIvl: opts.HeartbeatInterval, heartbeatTO: opts.HeartbeatTimeout, specFactor: opts.SpeculationFactor, mopts: mopts, masterAddr: m.Addr()}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 0; i < opts.SubMasters; i++ {
@@ -376,7 +369,6 @@ func (c *Cluster) addSlaveAt(reg *core.Registry, sharedDir string, idx int, cont
 		Compress:       c.compress,
 		Codec:          c.codec,
 		BlockEncoding:  c.blockEnc,
-		RowOnlyFetch:   c.rowOnly,
 		BlockSize:      c.blockSize,
 		Concurrency:    c.slaveCon,
 		ResidentBudget: c.resident,

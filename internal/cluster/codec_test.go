@@ -11,25 +11,23 @@ import (
 )
 
 // TestCodecGridByteIdentical is the block data plane's correctness
-// gate: the same shuffle-heavy job under legacy framing (plain and
-// old-style whole-stream deflate) and under every registered block
-// codec, each at prefetch width 1 and 8, over the direct HTTP data
-// plane — every output must be byte-identical. The grid deliberately
-// mixes the pre-block wire format with the registry codecs, so a fleet
-// upgraded one binary at a time keeps producing the same answers.
+// gate: the same shuffle-heavy job under the default settings (identity
+// blocks, and deflate blocks under Compress) and under every registered
+// block codec and columnar key encoding, each at prefetch width 1 and
+// 8, over the direct HTTP data plane — every output must be
+// byte-identical.
 func TestCodecGridByteIdentical(t *testing.T) {
 	type config struct {
 		codec    string
 		encoding string
-		rowOnly  bool
 		compress bool
 		prefetch int
 	}
 	var configs []config
 	for _, p := range []int{1, 8} {
 		configs = append(configs,
-			config{codec: "", compress: false, prefetch: p}, // legacy plain
-			config{codec: "", compress: true, prefetch: p},  // old-style deflate
+			config{codec: "", compress: false, prefetch: p},
+			config{codec: "", compress: true, prefetch: p},
 		)
 		for _, name := range wirecodec.Names() {
 			configs = append(configs, config{codec: name, prefetch: p})
@@ -39,22 +37,15 @@ func TestCodecGridByteIdentical(t *testing.T) {
 			}
 		}
 	}
-	// The mixed-version cell: every node writes columnar, but fetches
-	// like a pre-columnar peer, so each data server takes the
-	// row-transcode fallback on every request.
-	configs = append(configs, config{codec: wirecodec.LZName, encoding: "columnar-dict", rowOnly: true, prefetch: 8})
 	var want []kvio.Pair
 	for _, cfg := range configs {
 		cfg := cfg
 		name := fmt.Sprintf("codec=%s,compress=%v,prefetch=%d", cfg.codec, cfg.compress, cfg.prefetch)
 		if cfg.codec == "" {
-			name = fmt.Sprintf("legacy,compress=%v,prefetch=%d", cfg.compress, cfg.prefetch)
+			name = fmt.Sprintf("default,compress=%v,prefetch=%d", cfg.compress, cfg.prefetch)
 		}
 		if cfg.encoding != "" {
 			name = fmt.Sprintf("codec=%s,enc=%s,prefetch=%d", cfg.codec, cfg.encoding, cfg.prefetch)
-			if cfg.rowOnly {
-				name += ",row-only-peer"
-			}
 		}
 		t.Run(name, func(t *testing.T) {
 			rt := obs.New(nil)
@@ -64,7 +55,6 @@ func TestCodecGridByteIdentical(t *testing.T) {
 				Compress:      cfg.compress,
 				Codec:         cfg.codec,
 				BlockEncoding: cfg.encoding,
-				RowOnlyFetch:  cfg.rowOnly,
 				Obs:           rt,
 			})
 			if err != nil {
@@ -83,38 +73,32 @@ func TestCodecGridByteIdentical(t *testing.T) {
 			}
 			if cfg.encoding != "" {
 				// Columnar cells: columnar blocks were actually written,
-				// and the wire split shows whether peers fetched them
-				// (homogeneous fleet) or forced the row fallback
-				// (row-only mixed-version cell).
+				// and peers fetched them as written.
 				snap := rt.M().Snapshot()
 				if snap[obs.MetricBlocksColumnar] == 0 {
 					t.Error("no columnar blocks written under a columnar encoding")
 				}
 				wire := snap[obs.MetricWireBytesDirect]
-				colWire := snap[obs.MetricWireBytesEncoding("columnar")]
-				rowWire := snap[obs.MetricWireBytesEncoding("row")]
-				if cfg.rowOnly {
-					if colWire != 0 {
-						t.Errorf("row-only peers moved %d columnar wire bytes", colWire)
-					}
-					if rowWire != wire {
-						t.Errorf("row wire bytes = %d, want all direct traffic %d", rowWire, wire)
-					}
-				} else if colWire != wire {
+				if colWire := snap[obs.MetricWireBytesEncoding("columnar")]; colWire != wire {
 					t.Errorf("columnar wire bytes = %d, want all direct traffic %d", colWire, wire)
 				}
 			}
-			if cfg.codec == "" {
-				return
+			// Homogeneous fleet: every direct-path wire byte moved under
+			// the configured codec (the default: identity, or deflate
+			// under Compress), so the per-codec counter must equal the
+			// per-path wire counter; and a compressing codec must
+			// actually undercut the decoded payload.
+			codecName := cfg.codec
+			if codecName == "" {
+				codecName = wirecodec.IdentityName
+				if cfg.compress {
+					codecName = wirecodec.DeflateName
+				}
 			}
-			// Homogeneous block fleet: every direct-path wire byte moved
-			// under the configured codec, so the per-codec counter must
-			// equal the per-path wire counter; and a compressing codec
-			// must actually undercut the decoded payload.
 			snap := rt.M().Snapshot()
 			raw := snap[obs.MetricShuffleBytesDirect]
 			wire := snap[obs.MetricWireBytesDirect]
-			perCodec := snap[obs.MetricWireBytesCodec(cfg.codec)]
+			perCodec := snap[obs.MetricWireBytesCodec(codecName)]
 			if raw == 0 {
 				t.Fatal("no direct-path shuffle bytes recorded")
 			}
@@ -123,22 +107,22 @@ func TestCodecGridByteIdentical(t *testing.T) {
 			}
 			if perCodec != wire {
 				t.Errorf("per-codec wire bytes = %d, want %d (all traffic under %s)",
-					perCodec, wire, cfg.codec)
+					perCodec, wire, codecName)
 			}
-			if cfg.codec == wirecodec.IdentityName {
+			if codecName == wirecodec.IdentityName {
 				// Identity blocks add framing on top of the payload.
 				if wire < raw {
 					t.Errorf("identity wire bytes = %d below payload %d; compressed?", wire, raw)
 				}
 			} else if wire >= raw {
-				t.Errorf("%s wire bytes = %d, want < payload %d", cfg.codec, wire, raw)
+				t.Errorf("%s wire bytes = %d, want < payload %d", codecName, wire, raw)
 			}
 		})
 	}
 }
 
 // TestCodecSerialMatchesCluster closes the cross-mode half of the
-// grid: the serial executor (memory buckets, legacy framing), the mock
+// grid: the serial executor (memory buckets, default settings), the mock
 // executor with each block codec at rest (file buckets), and an lz
 // cluster must all produce byte-identical output. A codec is a storage
 // and wire detail; it must never be observable in job results.

@@ -155,9 +155,9 @@ func TestWordCountMockParallel(t *testing.T) {
 
 func TestPerOpDataPlanePins(t *testing.T) {
 	// One operation pins its output buckets to columnar-dict over lz
-	// while the store keeps its legacy default: the pinned dataset's
-	// files must be columnar at rest, every other dataset legacy, and
-	// the answers unchanged.
+	// while the store keeps its default: the pinned dataset's files
+	// must be columnar at rest, every other dataset identity row blocks,
+	// and the answers unchanged.
 	dir := t.TempDir()
 	exec, err := NewMockParallel(testRegistry(), dir)
 	if err != nil {
@@ -196,7 +196,7 @@ func TestPerOpDataPlanePins(t *testing.T) {
 		}
 		if strings.HasSuffix(path, ".mrc.lz") {
 			columnar++
-		} else {
+		} else if strings.HasSuffix(path, ".mrb") {
 			plain++
 		}
 		return nil
@@ -208,7 +208,7 @@ func TestPerOpDataPlanePins(t *testing.T) {
 		t.Error("pinned map op left no columnar at-rest files")
 	}
 	if plain == 0 {
-		t.Error("unpinned datasets left no legacy files; pin leaked store-wide")
+		t.Error("unpinned datasets left no identity row-block files; pin leaked store-wide")
 	}
 }
 

@@ -112,20 +112,18 @@ func (e *LocalExecutor) SetResidentBudget(n int64) {
 	}
 }
 
-// SetCompress makes the executor's store write compressed buckets.
-// Only meaningful for file-backed stores (MockParallel); memory stores
-// ignore it. Must be called before the first Submit.
+// SetCompress makes the executor's store deflate its buckets' blocks
+// when no codec is set. Must be called before the first Submit.
 func (e *LocalExecutor) SetCompress(on bool) { e.env.Store.SetCompress(on) }
 
 // SetCodec selects the registered compression codec the executor's
-// store writes block-framed buckets with ("" disables block framing;
-// unknown names error). Like SetCompress, only file-backed stores write
-// at rest; memory stores ignore it. Must be called before the first
-// Submit.
+// store writes its buckets' blocks with ("" = identity, or deflate
+// under SetCompress; unknown names error). Must be called before the
+// first Submit.
 func (e *LocalExecutor) SetCodec(name string) error { return e.env.Store.SetCodec(name) }
 
 // SetBlockEncoding selects the block encoding the executor's store
-// writes block-framed buckets with ("row", "columnar",
+// writes buckets with ("row", "columnar",
 // "columnar-raw", "columnar-dict", "columnar-delta"; "" = row).
 // Unknown names error. Must be called before the first Submit.
 func (e *LocalExecutor) SetBlockEncoding(name string) error {

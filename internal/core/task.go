@@ -362,10 +362,10 @@ func execReduceTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, 
 		Combine:    combine,
 	})
 	defer sorter.Close()
-	// Legacy-framed inputs: Add copies into the sorter's arena, so the
-	// iterator's shared buffers can be handed over directly.
-	// Block-framed inputs: the whole decoded block is adopted by the
-	// sorter and records alias into it — one decode, zero copies.
+	// Bucket inputs: the whole decoded block is adopted by the sorter
+	// and records alias into it — one decode, zero copies. Line inputs:
+	// Add copies into the sorter's arena, so the iterator's shared
+	// buffers can be handed over directly.
 	err = forEachInput(env, spec, st, recordSink{
 		fn: func(key, value []byte) error {
 			return sorter.Add(kvio.Pair{Key: key, Value: value})
@@ -435,13 +435,13 @@ func forEachInputRecord(env *TaskEnv, spec *TaskSpec, st *inputStats, fn func(ke
 }
 
 // recordSink is how a task consumes one input stream. fn receives every
-// record, with the usual shared-buffer lifetime. block, when non-nil
-// and the stream arrives block-framed, receives whole decoded record
-// blocks instead — ownership of the buffer transfers to the sink
-// (kvio.BlockReader.NextBlock's contract) and it returns the summed
-// key+value payload bytes it consumed. That is the zero-copy handoff
-// into the shuffle sorter; streams in any other framing fall back to
-// fn, so a sink always sees every record exactly once either way.
+// record, with the usual shared-buffer lifetime. block, when non-nil,
+// receives a bucket's whole decoded row blocks instead — ownership of
+// the buffer transfers to the sink (kvio.BlockReader.NextBlock's
+// contract) and it returns the summed key+value payload bytes it
+// consumed. That is the zero-copy handoff into the shuffle sorter; line
+// inputs still go through fn, so a sink always sees every record
+// exactly once either way.
 // col, when non-nil, receives whole columnar blocks (ownership
 // transfers, same as block); without it columnar frames are flattened
 // into row form and delivered through block or fn.
@@ -455,8 +455,8 @@ type recordSink struct {
 // accounting records, payload bytes, and read-blocked time into st.
 func forEachInput(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink) error {
 	// KV streams count decoded key+value payload here at the record
-	// layer — identical across legacy framing, block framing, and every
-	// codec — while line formats count stream bytes in the timedReader.
+	// layer — identical across block kinds and codecs — while line
+	// formats count stream bytes in the timedReader.
 	countPayload := spec.InputFormat == "" || spec.InputFormat == FormatKV
 	inner := sink
 	sink.fn = func(key, value []byte) error {
@@ -665,15 +665,16 @@ func consumeStream(r io.Reader, format string, sink recordSink) error {
 	}
 }
 
-// consumeKVStream reads a KV bucket stream in either framing — the
-// sniffing reader accepts legacy per-record streams and block streams
-// alike, so mixed-version inputs within one task are fine. When the
-// stream is block-framed and the sink takes blocks, whole decoded
-// blocks are handed over without touching individual records.
+// consumeKVStream reads one KV bucket's block stream into sink. When
+// the sink takes blocks, whole decoded blocks are handed over without
+// touching individual records.
 func consumeKVStream(r io.Reader, sink recordSink) error {
-	kr := kvio.NewAnyReader(r)
-	defer kr.Release()
-	if br, ok := kr.(*kvio.BlockReader); ok && sink.block != nil {
+	br, err := kvio.NewBlockReader(r)
+	if err != nil {
+		return err
+	}
+	defer br.Release()
+	if sink.block != nil {
 		for {
 			blk, cb, recs, err := br.NextAny()
 			if err == io.EOF {
@@ -702,7 +703,7 @@ func consumeKVStream(r io.Reader, sink recordSink) error {
 		// Records go through the reader's shared buffer: the sink does
 		// not retain its arguments, and this halves per-record
 		// allocations.
-		p, err := kr.ReadShared()
+		p, err := br.ReadShared()
 		if err == io.EOF {
 			return nil
 		}

@@ -1,7 +1,6 @@
 package kvio
 
-// Block framing: the batched record format that replaced per-record
-// wire framing. A block stream is
+// Block framing: the format of every bucket. A block stream is
 //
 //	magic | block*
 //
@@ -14,8 +13,8 @@ package kvio
 //	crc32   (4 bytes LE) IEEE CRC of the stored payload
 //	payload              codec-compressed record run
 //
-// and the payload decompresses to `records` records in the classic
-// per-record framing (uvarint keyLen|key|uvarint valueLen|value). This
+// and the payload decompresses to `records` records in the per-record
+// framing of kvio.go (uvarint keyLen|key|uvarint valueLen|value). This
 // is the row block kind; the same stream can also carry columnar blocks
 // (colblock.go), discriminated per block by a sentinel first uvarint,
 // which store keys and values as independently compressed and
@@ -26,12 +25,9 @@ package kvio
 // a decoded block can be handed to the shuffle sorter as one arena slab
 // (Sorter.AddBlock) without copying record bytes again.
 //
-// The magic is chosen so no valid legacy stream can begin with it: its
-// first five bytes decode as a uvarint key length far above
-// MaxRecordLen, which legacy writers never produce and legacy readers
-// reject. NewAnyReader uses this to take byte streams of either framing
-// and pick the right reader, which is what keeps mixed-version fleets
-// and pre-block at-rest files readable.
+// The magic's first five bytes decode as a uvarint key length far
+// above MaxRecordLen, so a per-record Reader handed a block stream by
+// mistake fails with ErrBlockStream instead of misparsing it.
 
 import (
 	"bufio"
@@ -41,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"repro/internal/wirecodec"
 )
@@ -59,10 +56,13 @@ const MaxBlockLen = 1 << 27
 
 // Block-framing errors. ErrBlockChecksum means the stored payload did
 // not match its header CRC; ErrBlockCorrupt covers every other
-// malformed-header or malformed-payload case.
+// malformed stream: a bad header or payload, a missing magic, or a
+// stream that ends mid-block (errTorn, which is also an
+// io.ErrUnexpectedEOF).
 var (
 	ErrBlockChecksum = errors.New("kvio: block checksum mismatch")
 	ErrBlockCorrupt  = errors.New("kvio: corrupt block")
+	errTorn          = fmt.Errorf("%w: stream ends mid-block (%w)", ErrBlockCorrupt, io.ErrUnexpectedEOF)
 )
 
 // ---------------------------------------------------------------------------
@@ -78,10 +78,11 @@ type BlockWriter struct {
 	blockSize int
 	enc       BlockEncoding // block kind emitted by Write (row or columnar)
 
-	raw   []byte // pending records in per-record framing
-	recs  int    // records pending in raw
-	comp  bytes.Buffer
-	wrote bool // magic emitted
+	raw     []byte  // pending records in per-record framing
+	pending *[]byte // pool handle raw came from, returned by Close
+	recs    int     // records pending in raw
+	comp    bytes.Buffer
+	wrote   bool // magic emitted
 
 	// columnar emit scratch (colblock.go)
 	colKeys   [][]byte
@@ -95,6 +96,14 @@ type BlockWriter struct {
 	bytes int64 // payload bytes written (keys+values, no framing)
 	err   error
 }
+
+// pendingPool recycles BlockWriter pending-record buffers. A writer is
+// made per bucket, and a fresh blockSize-sized buffer each time would be
+// by far the largest allocation a small bucket costs. Buffers grown past
+// maxPooledPending by an outsized record are left to the GC.
+var pendingPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledPending = 4 << 20
 
 // NewBlockWriter returns a BlockWriter on w compressing each block with
 // codec (nil = identity). blockSize <= 0 selects DefaultBlockSize.
@@ -112,7 +121,11 @@ func NewBlockWriterEnc(w io.Writer, codec wirecodec.Codec, blockSize int, enc Bl
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	return &BlockWriter{w: w, codec: codec, blockSize: blockSize, enc: enc, raw: make([]byte, 0, blockSize+1024)}
+	pending := pendingPool.Get().(*[]byte)
+	if cap(*pending) < blockSize+1024 {
+		*pending = make([]byte, 0, blockSize+1024)
+	}
+	return &BlockWriter{w: w, codec: codec, blockSize: blockSize, enc: enc, raw: (*pending)[:0], pending: pending}
 }
 
 // Write appends one record to the pending block, emitting a block when
@@ -150,11 +163,8 @@ func (w *BlockWriter) emit(raw []byte, recs int) error {
 	if w.enc.Columnar {
 		return w.emitColumnar(raw, recs)
 	}
-	if err := w.writeMagic(); err != nil {
-		return err
-	}
 	if recs == 0 {
-		return nil
+		return w.writeMagic()
 	}
 	name := w.codec.Name()
 	payload := raw
@@ -170,8 +180,14 @@ func (w *BlockWriter) emit(raw []byte, recs int) error {
 		}
 		payload = w.comp.Bytes()
 	}
-	var hdr [4*binary.MaxVarintLen64 + 64]byte
-	n := binary.PutUvarint(hdr[:], uint64(recs))
+	var hdr [len(BlockMagic) + 4*binary.MaxVarintLen64 + 64]byte
+	n := 0
+	if !w.wrote {
+		// The first block carries the stream magic in its header write.
+		n = copy(hdr[:], BlockMagic[:])
+		w.wrote = true
+	}
+	n += binary.PutUvarint(hdr[n:], uint64(recs))
 	n += binary.PutUvarint(hdr[n:], uint64(len(raw)))
 	n += binary.PutUvarint(hdr[n:], uint64(len(name)))
 	n += copy(hdr[n:], name)
@@ -193,7 +209,7 @@ func (w *BlockWriter) emitBlock() error {
 	return err
 }
 
-// WriteBlock emits a pre-framed record run (records in legacy framing,
+// WriteBlock emits a pre-framed record run (records in per-record framing,
 // e.g. a payload handed over by BlockReader.NextBlock) as one block,
 // flushing any pending per-record writes first so order is preserved.
 // This is the transcoding path: a server re-encoding an at-rest block
@@ -223,9 +239,21 @@ func (w *BlockWriter) Flush() error {
 	return w.err
 }
 
-// Close flushes; the writer must not be used afterwards.
+// Close flushes and recycles the pending buffer; the writer must not
+// be used afterwards.
 func (w *BlockWriter) Close() error {
-	return w.Flush()
+	err := w.Flush()
+	if w.pending != nil {
+		if cap(w.raw) <= maxPooledPending {
+			*w.pending = w.raw[:0]
+			pendingPool.Put(w.pending)
+		}
+		w.raw, w.pending = nil, nil
+	}
+	if w.err == nil {
+		w.err = ErrReleased
+	}
+	return err
 }
 
 // Count returns the number of records written so far.
@@ -243,8 +271,7 @@ func (w *BlockWriter) Bytes() int64 { return w.bytes }
 // ReadShared) or a whole decoded block at once (NextBlock, the
 // zero-copy path into the shuffle sorter).
 type BlockReader struct {
-	br       *bufio.Reader
-	ownsBuf  bool // br came from the shared pool
+	br       *bufio.Reader // from the shared pool
 	block    []byte
 	off      int
 	recsLeft int
@@ -269,18 +296,12 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 		return nil, fmt.Errorf("%w: missing block magic", ErrBlockCorrupt)
 	}
 	br.Discard(len(BlockMagic))
-	return &BlockReader{br: br, ownsBuf: true}, nil
-}
-
-// newBlockReaderAt wraps an existing bufio whose magic has already been
-// consumed; used by NewAnyReader after sniffing.
-func newBlockReaderAt(br *bufio.Reader, ownsBuf bool) *BlockReader {
-	return &BlockReader{br: br, ownsBuf: ownsBuf}
+	return &BlockReader{br: br}, nil
 }
 
 // Release returns pooled state. Safe to call more than once.
 func (r *BlockReader) Release() {
-	if r.br != nil && r.ownsBuf {
+	if r.br != nil {
 		r.br.Reset(nil)
 		readerPool.Put(r.br)
 	}
@@ -324,15 +345,36 @@ type rawColumns struct {
 	key, val []byte
 }
 
-// u reads one bounds-checked header uvarint. An io.EOF at a block start
-// is the clean end of stream; anywhere else the stream tore mid-header.
-func (r *BlockReader) u(atStart bool) (int, error) {
-	v, uerr := binary.ReadUvarint(r.br)
-	if uerr != nil {
-		if uerr == io.EOF && !atStart {
-			return 0, io.ErrUnexpectedEOF
+// uvarint reads one header uvarint. It returns io.EOF only when the
+// stream ends before its first byte; a stream that ends inside it is
+// torn, and one running past 64 bits is corrupt.
+func (r *BlockReader) uvarint() (uint64, error) {
+	var v uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := r.br.ReadByte()
+		if err != nil {
+			if err == io.EOF && i > 0 {
+				err = errTorn
+			}
+			return 0, err
 		}
-		return 0, uerr
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			break
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: header uvarint overflows 64 bits", ErrBlockCorrupt)
+}
+
+// u reads one bounds-checked uvarint inside a block header, where the
+// stream must not end.
+func (r *BlockReader) u() (int, error) {
+	v, err := r.uvarint()
+	if err != nil {
+		return 0, noEOF(err)
 	}
 	if v > MaxBlockLen {
 		return 0, fmt.Errorf("%w: length %d exceeds MaxBlockLen", ErrBlockCorrupt, v)
@@ -343,10 +385,10 @@ func (r *BlockReader) u(atStart bool) (int, error) {
 // readSeg parses one column-segment header (rawLen, codec, payloadLen,
 // CRC) — also the shape of a row block header after its record count.
 func (r *BlockReader) readSeg() (s colSegHdr, err error) {
-	if s.rawLen, err = r.u(false); err != nil {
+	if s.rawLen, err = r.u(); err != nil {
 		return
 	}
-	nameLen, err := r.u(false)
+	nameLen, err := r.u()
 	if err != nil {
 		return
 	}
@@ -365,7 +407,7 @@ func (r *BlockReader) readSeg() (s colSegHdr, err error) {
 		err = fmt.Errorf("%w: unknown codec %q", ErrBlockCorrupt, name)
 		return
 	}
-	if s.payloadLen, err = r.u(false); err != nil {
+	if s.payloadLen, err = r.u(); err != nil {
 		return
 	}
 	var crcBuf [4]byte
@@ -378,22 +420,21 @@ func (r *BlockReader) readSeg() (s colSegHdr, err error) {
 }
 
 // readHeader parses one block header of either kind. The first uvarint
-// discriminates: the colMarker sentinel (deliberately above MaxBlockLen,
-// so pre-columnar readers fail it deterministically) introduces a
-// columnar block, anything within bounds is a row block's record count.
+// discriminates: the colMarker sentinel (deliberately above MaxBlockLen)
+// introduces a columnar block, anything within bounds is a row block's
+// record count.
 // An io.EOF before the first header byte is the clean end of stream.
 func (r *BlockReader) readHeader() (h blockHdr, err error) {
-	first, uerr := binary.ReadUvarint(r.br)
-	if uerr != nil {
-		err = uerr
+	first, err := r.uvarint()
+	if err != nil {
 		return
 	}
 	if first == colMarker {
 		h.columnar = true
-		if h.recs, err = r.u(false); err != nil {
+		if h.recs, err = r.u(); err != nil {
 			return
 		}
-		if h.keyEnc, err = r.u(false); err != nil {
+		if h.keyEnc, err = r.u(); err != nil {
 			return
 		}
 		if h.keyEnc > KeyEncDelta {
@@ -460,7 +501,11 @@ func (r *BlockReader) decodeSeg(s colSegHdr, what string, dst []byte) ([]byte, e
 	cr.Close()
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("%w: %s payload shorter than header rawLen", ErrBlockCorrupt, what)
+			return nil, fmt.Errorf("%w: %s payload shorter than header rawLen", ErrBlockCorrupt, what)
+		}
+		if !errors.Is(err, ErrBlockCorrupt) {
+			// The payload is in memory: any codec error is a bad payload.
+			err = fmt.Errorf("%w: %s payload: %w", ErrBlockCorrupt, what, err)
 		}
 		return nil, err
 	}
@@ -468,7 +513,7 @@ func (r *BlockReader) decodeSeg(s colSegHdr, what string, dst []byte) ([]byte, e
 }
 
 // nextRaw reads the next non-empty block and returns its decompressed
-// content without record parsing: a row block's legacy-framed payload
+// content without record parsing: a row block's record-framed payload
 // (decoded into dst, grown as needed), or a columnar block's raw column
 // bytes (always freshly allocated, ownership to the caller). io.EOF
 // means a clean end of stream.
@@ -507,7 +552,7 @@ func (r *BlockReader) nextRaw(dst []byte) ([]byte, *rawColumns, int, error) {
 }
 
 // NextAny returns the next decoded block in its native kind: a row
-// block's legacy-framed payload in rows, or a columnar block in cb
+// block's record-framed payload in rows, or a columnar block in cb
 // (exactly one is non-nil). Ownership of the returned data transfers to
 // the caller — this is the zero-copy handoff into the shuffle sorter,
 // which adopts row payloads via AddBlock and columnar blocks via
@@ -534,7 +579,7 @@ func (r *BlockReader) NextAny() (rows []byte, cb *ColumnarBlock, recs int, err e
 	return rows, cb, recs, nil
 }
 
-// NextBlock returns the next block as a decoded legacy-framed payload
+// NextBlock returns the next block as a decoded record-framed payload
 // and its record count, transferring ownership of the returned slice to
 // the caller (it is never reused by the reader). Columnar blocks are
 // flattened to row form — consumers that can exploit the columnar
@@ -624,10 +669,10 @@ func (r *BlockReader) ReadAll() ([]Pair, error) {
 	}
 }
 
-// noEOF maps io.EOF to io.ErrUnexpectedEOF (the stream tore mid-block).
+// noEOF maps a stream end inside a block to errTorn.
 func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return errTorn
 	}
 	return err
 }
@@ -681,26 +726,6 @@ func ScanRecords(data []byte, fn func(key, value []byte) error) (int, error) {
 	return recs, nil
 }
 
-// ---------------------------------------------------------------------------
-// Framing-agnostic reading
-
-// RecordReader is the read interface shared by the legacy per-record
-// Reader and the BlockReader, so consumers can take streams of either
-// framing.
-type RecordReader interface {
-	// Read returns the next record as retainable fresh allocations.
-	Read() (Pair, error)
-	// ReadShared returns the next record in internal buffers valid only
-	// until the next read call.
-	ReadShared() (Pair, error)
-	// ReadAll drains the stream.
-	ReadAll() ([]Pair, error)
-	// Count returns records read so far.
-	Count() int64
-	// Release recycles pooled state; the reader is unusable afterwards.
-	Release()
-}
-
 // TranscodeBlocks rewrites a block stream from src onto dst with every
 // block re-compressed under codec c, block boundaries, kinds, and
 // record counts preserved. Row payloads move block-at-a-time and
@@ -730,71 +755,4 @@ func TranscodeBlocks(dst io.Writer, src io.Reader, c wirecodec.Codec) error {
 			return err
 		}
 	}
-}
-
-// TranscodeToRowBlocks rewrites a block stream from src onto dst as row
-// blocks only, compressed under codec c: row blocks move verbatim
-// (re-compressed), columnar blocks are flattened to the interleaved
-// form. This is the mixed-version fallback a data server uses for a
-// peer that advertises block codecs but not the columnar kind.
-func TranscodeToRowBlocks(dst io.Writer, src io.Reader, c wirecodec.Codec) error {
-	br, err := NewBlockReader(src)
-	if err != nil {
-		return err
-	}
-	defer br.Release()
-	bw := NewBlockWriter(dst, c, 0)
-	for {
-		payload, recs, err := br.NextBlock() // flattens columnar blocks
-		if err == io.EOF {
-			return bw.Close()
-		}
-		if err != nil {
-			return err
-		}
-		if err := bw.WriteBlock(payload, recs); err != nil {
-			return err
-		}
-	}
-}
-
-// TranscodeToRecords flattens a block stream from src into a legacy
-// per-record stream on dst. Row payloads already are legacy-framed
-// record runs and are concatenated without parsing; columnar blocks are
-// re-framed row by row. It is how a block-file server talks to a
-// pre-block client.
-func TranscodeToRecords(dst io.Writer, src io.Reader) error {
-	br, err := NewBlockReader(src)
-	if err != nil {
-		return err
-	}
-	defer br.Release()
-	for {
-		payload, _, err := br.NextBlock()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if _, err := dst.Write(payload); err != nil {
-			return err
-		}
-	}
-}
-
-// NewAnyReader sniffs the stream's framing and returns the matching
-// reader: block framing if the stream opens with BlockMagic (which no
-// valid legacy stream can), the legacy per-record reader otherwise.
-// This is how every consumer stays compatible with both at-rest forms
-// and with peers from before the block data plane.
-func NewAnyReader(r io.Reader) RecordReader {
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	got, err := br.Peek(len(BlockMagic))
-	if err == nil && bytes.Equal(got, BlockMagic[:]) {
-		br.Discard(len(BlockMagic))
-		return newBlockReaderAt(br, true)
-	}
-	return &Reader{r: br}
 }

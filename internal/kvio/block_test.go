@@ -171,9 +171,9 @@ func TestBlockUnknownCodecErrors(t *testing.T) {
 }
 
 func TestBlockMagicIsLegacyPoison(t *testing.T) {
-	// The design guarantee behind NewAnyReader: a legacy reader must
-	// reject a block stream deterministically — and, since the magic is
-	// recognizable, with a version-aware error naming the minimum reader
+	// A per-record Reader (the sorter's spill format) handed a block
+	// stream must reject it deterministically — and, since the magic is
+	// recognizable, with a version-aware error naming the reader to use
 	// instead of a generic size complaint.
 	for _, mk := range []struct {
 		name string
@@ -188,7 +188,7 @@ func TestBlockMagicIsLegacyPoison(t *testing.T) {
 			defer r.Release()
 			_, err := r.Read()
 			if !errors.Is(err, ErrBlockStream) {
-				t.Fatalf("legacy read of block stream: got %v, want ErrBlockStream", err)
+				t.Fatalf("per-record read of block stream: got %v, want ErrBlockStream", err)
 			}
 			if !strings.Contains(err.Error(), "version 0x01") {
 				t.Fatalf("error is not version-aware: %v", err)
@@ -206,34 +206,6 @@ func TestBlockMagicIsLegacyPoison(t *testing.T) {
 	if _, err := r.Read(); !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("oversized record: got %v, want ErrRecordTooLarge", err)
 	}
-}
-
-func TestNewAnyReaderSniffsFraming(t *testing.T) {
-	pairs := testPairs(300)
-	legacy := Marshal(pairs)
-	block := blockStream(t, pairs, wirecodec.LZName, 1024)
-	for label, wire := range map[string][]byte{"legacy": legacy, "block": block} {
-		t.Run(label, func(t *testing.T) {
-			r := NewAnyReader(bytes.NewReader(wire))
-			defer r.Release()
-			got, err := r.ReadAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pairsEqual(pairs, got) {
-				t.Fatalf("%s framing mis-decoded via NewAnyReader", label)
-			}
-		})
-	}
-	// Streams shorter than the magic must fall back to legacy framing.
-	t.Run("short", func(t *testing.T) {
-		r := NewAnyReader(bytes.NewReader(Marshal([]Pair{{}})))
-		defer r.Release()
-		got, err := r.ReadAll()
-		if err != nil || len(got) != 1 {
-			t.Fatalf("short legacy stream: %v, %d records", err, len(got))
-		}
-	})
 }
 
 func TestBlockNextBlockOwnership(t *testing.T) {

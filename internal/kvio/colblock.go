@@ -2,7 +2,7 @@ package kvio
 
 // Columnar block framing: the second block kind carried inside a
 // BlockMagic stream. A row block stores its records as one interleaved
-// legacy-framed run; a columnar block splits them into two independent
+// record-framed run; a columnar block splits them into two independent
 // column segments — all keys, then all values — each compressed under
 // its own codec and protected by its own CRC:
 //
@@ -15,13 +15,10 @@ package kvio
 //	key payload          keyEnc-encoded keys, codec-compressed
 //	value payload        uvarint valueLen|value per record, compressed
 //
-// The sentinel is MaxBlockLen+1: row-only readers bounds-check the
-// first header uvarint against MaxBlockLen, so a columnar block fails
-// them deterministically instead of being misparsed, while upgraded
-// readers recognize the exact value and switch layouts. Both kinds can
-// interleave freely in one stream (a transcode can append row blocks to
-// a columnar file), and the stream keeps the same magic and at-rest
-// sniffing as before.
+// The sentinel is MaxBlockLen+1, above every valid row-block record
+// count, so the reader recognizes the exact value and switches
+// layouts. Both kinds can interleave freely in one stream under the
+// same magic.
 //
 // The key column supports three encodings:
 //
@@ -46,8 +43,8 @@ import (
 )
 
 // colMarker is the block-kind sentinel: the first header uvarint of a
-// columnar block. It exceeds MaxBlockLen so pre-columnar block readers
-// reject it as a corrupt length rather than misreading the layout.
+// columnar block. It exceeds MaxBlockLen, so it can never be mistaken
+// for a row block's record count.
 const colMarker = MaxBlockLen + 1
 
 // Key column encodings, as stored in the columnar block header.
@@ -169,9 +166,9 @@ func (cb *ColumnarBlock) DictKey(j int) []byte { return cb.dict[j] }
 // DictIndex returns record i's dictionary slot in a dict-encoded block.
 func (cb *ColumnarBlock) DictIndex(i int) int { return int(cb.idx[i]) }
 
-// AppendRows re-frames the block's records in the legacy interleaved
-// form (uvarint keyLen|key|uvarint valueLen|value) onto dst — the
-// flatten path that serves row-only consumers and pre-block peers.
+// AppendRows re-frames the block's records in the interleaved row form
+// (uvarint keyLen|key|uvarint valueLen|value) onto dst — the flatten
+// path for consumers that take row blocks only.
 func (cb *ColumnarBlock) AppendRows(dst []byte) []byte {
 	for i := range cb.vals {
 		key, value := cb.Key(i), cb.vals[i]
@@ -404,7 +401,7 @@ func uvarintLen(v uint64) int {
 // ---------------------------------------------------------------------------
 // Columnar emit (BlockWriter)
 
-// emitColumnar writes one columnar block from a pending legacy-framed
+// emitColumnar writes one columnar block from a pending record-framed
 // record run: the run is split into a key list and a value column, the
 // key column is encoded per the writer's (or the per-block automatic)
 // key encoding, and each column is compressed and checksummed

@@ -303,62 +303,6 @@ func TestTranscodeBlocksPreservesColumnarKind(t *testing.T) {
 	}
 }
 
-func TestTranscodeToRowBlocksFlattensColumnar(t *testing.T) {
-	pairs := repetitivePairs(1200)
-	src := columnarStream(t, pairs, wirecodec.LZName, 4096, KeyEncAuto)
-	lz, _ := wirecodec.Lookup(wirecodec.LZName)
-	var out bytes.Buffer
-	if err := TranscodeToRowBlocks(&out, bytes.NewReader(src), lz); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewBlockReader(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Release()
-	var got []Pair
-	for {
-		rows, cb, _, err := r.NextAny()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cb != nil {
-			t.Fatal("TranscodeToRowBlocks left a columnar block in the stream")
-		}
-		if _, err := ScanRecords(rows, func(key, value []byte) error {
-			got = append(got, Pair{Key: key, Value: value}.Clone())
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !pairsEqual(pairs, got) {
-		t.Fatal("row-block fallback mis-decodes")
-	}
-}
-
-func TestTranscodeToRecordsFlattensColumnar(t *testing.T) {
-	pairs := repetitivePairs(900)
-	src := columnarStream(t, pairs, wirecodec.DeflateName, 2048, KeyEncAuto)
-	var out bytes.Buffer
-	if err := TranscodeToRecords(&out, bytes.NewReader(src)); err != nil {
-		t.Fatal(err)
-	}
-	// The result must be a pure legacy stream a pre-block Reader parses.
-	r := NewReader(bytes.NewReader(out.Bytes()))
-	defer r.Release()
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pairsEqual(pairs, got) {
-		t.Fatal("TranscodeToRecords on columnar stream mis-decodes")
-	}
-}
-
 // columnarIdentityLayout computes the offsets of the key and value
 // payloads of a single-block identity columnar stream, so corruption
 // tests can target one column at a time.

@@ -2,6 +2,7 @@ package kvio
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -52,7 +53,7 @@ func FuzzReader(f *testing.F) {
 }
 
 // FuzzRoundTrip drives arbitrary pairs through Writer→Reader and checks
-// byte-exact recovery — for the legacy per-record framing (allocating
+// byte-exact recovery — for the per-record framing (allocating
 // and shared read paths) and for block framing under every registered
 // codec at a small block size that forces multi-block streams.
 func FuzzRoundTrip(f *testing.F) {
@@ -99,8 +100,7 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("want clean EOF, got %v", err)
 		}
 
-		// Block framing under every codec, decoded via the sniffing
-		// reader — the path every mixed-framing consumer takes.
+		// Block framing under every codec — the form of every bucket.
 		for _, name := range wirecodec.Names() {
 			c, _ := wirecodec.Lookup(name)
 			var bbuf bytes.Buffer
@@ -113,7 +113,10 @@ func FuzzRoundTrip(f *testing.F) {
 			if err := bw.Close(); err != nil {
 				t.Fatal(err)
 			}
-			br := NewAnyReader(bytes.NewReader(bbuf.Bytes()))
+			br, err := NewBlockReader(bytes.NewReader(bbuf.Bytes()))
+			if err != nil {
+				t.Fatalf("%s block stream: %v", name, err)
+			}
 			bout, err := br.ReadAll()
 			br.Release()
 			if err != nil {
@@ -164,15 +167,14 @@ func columnarSeed(pairs []Pair, codecName string, blockSize, keyEnc int) []byte 
 	return buf.Bytes()
 }
 
-// FuzzBlockReader throws arbitrary bytes at the block reader via
-// NewAnyReader: no panics, no infinite loops, and a valid prefix of
-// records before any error. The corpus seeds both framings and both
-// block kinds plus the torn/corrupt/zero-record shapes named in the
-// block format's contract.
+// FuzzBlockReader throws arbitrary bytes at NewBlockReader: no panics,
+// no infinite loops, a stream without the magic rejected with
+// ErrBlockCorrupt, and a valid prefix of records before any error. The
+// corpus seeds a per-record stream, both block kinds, and the
+// torn/corrupt/zero-record shapes named in the block format's contract.
 func FuzzBlockReader(f *testing.F) {
 	pairs := []Pair{StrPair("hello", "world"), {}, StrPair("", "x"), StrPair("x", "")}
-	legacy := Marshal(pairs)
-	f.Add(legacy)                                           // legacy framing
+	f.Add(Marshal(pairs))                                   // per-record stream: no magic
 	f.Add(blockSeed(pairs, wirecodec.IdentityName, 0))      // identity blocks
 	f.Add(blockSeed(pairs, wirecodec.DeflateName, 8))       // multi-block deflate
 	f.Add(blockSeed(pairs, wirecodec.LZName, 8))            // multi-block lz
@@ -206,8 +208,17 @@ func FuzzBlockReader(f *testing.F) {
 	badVal := append([]byte(nil), col...)
 	badVal[len(col)-1] ^= 0x5A
 	f.Add(badVal)
+	// Streams shorter than the magic.
+	f.Add(Marshal([]Pair{{}}))
+	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewAnyReader(bytes.NewReader(data))
+		r, err := NewBlockReader(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBlockCorrupt) {
+				t.Fatalf("NewBlockReader: untyped error %v", err)
+			}
+			return
+		}
 		defer r.Release()
 		for {
 			_, err := r.ReadShared()

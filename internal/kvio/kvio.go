@@ -1,12 +1,16 @@
-// Package kvio defines the key-value pair type and the length-prefixed
-// binary record-stream format used for all intermediate data in mrs-go.
+// Package kvio defines the key-value pair type and the two binary
+// formats of intermediate data in mrs-go: the per-record stream of this
+// file and the block stream of block.go, which every bucket is written
+// in.
 //
-// The format of a record stream is a sequence of records:
+// A per-record stream is a sequence of records:
 //
 //	uvarint keyLen | keyLen bytes | uvarint valueLen | valueLen bytes
 //
 // terminated by EOF. The format is self-delimiting, streamable, and
 // independent of the key/value codecs (which live in internal/codec).
+// It is the payload of a row block and the shuffle sorter's spill-run
+// format (Writer, Reader).
 package kvio
 
 import (
@@ -30,14 +34,13 @@ var ErrRecordTooLarge = errors.New("kvio: record exceeds MaxRecordLen")
 // ErrReleased is returned by operations on a released Reader or Writer.
 var ErrReleased = errors.New("kvio: use after Release")
 
-// ErrBlockStream is returned by the pre-block per-record Reader when
-// the stream opens with the block-framing magic: the data (row or
-// columnar blocks alike) needs at least kvio.NewBlockReader — or
-// kvio.NewAnyReader, which sniffs the framing — not this Reader.
-var ErrBlockStream = errors.New("kvio: stream is block-framed; minimum reader: kvio.NewBlockReader (or kvio.NewAnyReader)")
+// ErrBlockStream is returned by the per-record Reader when the stream
+// opens with the block-framing magic: the data (row or columnar blocks
+// alike) needs kvio.NewBlockReader, not this Reader.
+var ErrBlockStream = errors.New("kvio: stream is block-framed; read it with kvio.NewBlockReader")
 
 // blockMagicLen is the uvarint the first bytes of BlockMagic decode to.
-// A legacy Reader that sees it at a record boundary is pointed at a
+// A per-record Reader that sees it at a record boundary is pointed at a
 // block stream, and the byte after it is the stream's version tag.
 var blockMagicLen = func() uint64 {
 	v, _ := binary.Uvarint(BlockMagic[:])

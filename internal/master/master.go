@@ -98,21 +98,16 @@ type Options struct {
 	// and serves it at /debug. Nil creates a private metrics-only
 	// runtime so /debug/metrics always works.
 	Obs *obs.Runtime
-	// Compress makes the master's own buckets (job input staging)
-	// flate-compressed at rest and on the wire to accepting slaves.
+	// Compress deflates the blocks of the master's own buckets (job
+	// input staging) when Codec is empty.
 	Compress bool
-	// Codec selects the compression codec for the master's block-framed
-	// buckets ("" keeps the legacy framing; wins over Compress when
-	// set). Unknown names fail New.
+	// Codec selects the compression codec of the master's buckets' blocks
+	// ("" = identity, or deflate under Compress). Unknown names fail New.
 	Codec string
 	// BlockEncoding selects the block encoding for the master's
 	// buckets ("row", "columnar", "columnar-raw", "columnar-dict",
 	// "columnar-delta"; "" = row). Unknown names fail New.
 	BlockEncoding string
-	// RowOnlyFetch makes the master's bucket fetches omit the
-	// columnar-accept header, like a pre-columnar build (ablation and
-	// mixed-version test hook).
-	RowOnlyFetch bool
 	// BlockSize overrides the record-block flush threshold in bytes
 	// (0 = default).
 	BlockSize int
@@ -300,7 +295,6 @@ func New(opts Options) (_ *Master, err error) {
 	if err = store.SetBlockEncoding(opts.BlockEncoding); err != nil {
 		return nil, fmt.Errorf("master: %w", err)
 	}
-	store.SetRowOnlyFetch(opts.RowOnlyFetch)
 	store.SetBlockSize(opts.BlockSize)
 	store.SetMetrics(opts.Obs.M())
 	m.store = store

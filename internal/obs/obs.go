@@ -102,8 +102,7 @@ const (
 // wire bytes moved under each negotiated compression codec ("identity",
 // "deflate", "lz", ...). Summed across codecs it equals the per-path
 // wire totals above; the split shows which codec the fleet actually
-// negotiated, which is how a mixed-version identity fallback becomes
-// visible in /debug/metrics.
+// negotiated, so an identity fallback is visible in /debug/metrics.
 func MetricWireBytesCodec(codec string) string {
 	return "mrs_shuffle_wire_bytes_codec_" + codec + "_total"
 }
@@ -115,8 +114,7 @@ const MetricBlocksColumnar = "mrs_shuffle_blocks_columnar_total"
 
 // MetricWireBytesEncoding names the per-block-kind wire-byte counter
 // ("row" or "columnar"). Like the per-codec split it sums to the
-// per-path wire totals; the split shows when a mixed-version peer
-// forced the row-block transcode fallback.
+// per-path wire totals.
 func MetricWireBytesEncoding(kind string) string {
 	return "mrs_shuffle_wire_bytes_encoding_" + kind + "_total"
 }

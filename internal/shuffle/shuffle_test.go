@@ -479,7 +479,7 @@ func BenchmarkSortGroupExternal(b *testing.B) {
 	}
 }
 
-// blockPayload frames pairs as a legacy record run — exactly the
+// blockPayload frames pairs as a per-record run — exactly the
 // decoded payload a kvio.BlockReader hands over via NextBlock.
 func blockPayload(t *testing.T, pairs []kvio.Pair) []byte {
 	t.Helper()

@@ -73,25 +73,19 @@ type Options struct {
 	// Prefetch is the input-fetch window for this slave's tasks
 	// (0 = default, 1 = sequential).
 	Prefetch int
-	// Compress makes the slave write its buckets flate-compressed; the
-	// data server then serves compressed bytes to peers that accept
-	// deflate. Purely local — peers with any setting interoperate.
+	// Compress deflates the blocks of the slave's buckets when Codec is
+	// empty.
 	Compress bool
-	// Codec selects the compression codec for block-framed buckets
-	// ("" keeps the legacy framing; wins over Compress when set). Like
-	// Compress it is purely local: the data server negotiates per
-	// request, so mixed-codec fleets interoperate.
+	// Codec selects the compression codec of the slave's buckets'
+	// blocks ("" = identity, or deflate under Compress). Purely local:
+	// the data server negotiates per request, so mixed-codec fleets
+	// interoperate.
 	Codec string
 	// BlockEncoding selects the block encoding for this slave's
 	// buckets ("row", "columnar", "columnar-raw", "columnar-dict",
-	// "columnar-delta"; "" = row). Purely local like Codec: the data
-	// server transcodes for peers that only accept row blocks.
+	// "columnar-delta"; "" = row). Purely local like Codec: every
+	// reader decodes both block kinds.
 	BlockEncoding string
-	// RowOnlyFetch makes this slave's bucket fetches omit the
-	// columnar-accept header, behaving like a pre-columnar peer (its
-	// requests force servers into the row-transcode fallback). A
-	// mixed-version ablation and test hook; results are identical.
-	RowOnlyFetch bool
 	// BlockSize overrides the record-block flush threshold in bytes
 	// (0 = default).
 	BlockSize int
@@ -230,7 +224,6 @@ func New(reg *core.Registry, opts Options) (_ *Slave, err error) {
 	if err = store.SetBlockEncoding(opts.BlockEncoding); err != nil {
 		return nil, fmt.Errorf("slave: %w", err)
 	}
-	store.SetRowOnlyFetch(opts.RowOnlyFetch)
 	store.SetBlockSize(opts.BlockSize)
 	store.SetMetrics(opts.Obs.M())
 	// The runtime may be shared by several slaves (the in-process

@@ -48,7 +48,12 @@ func TestDataServerServesBuckets(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("GET %s: %s", d.URL, resp.Status)
 	}
-	pairs, err := kvio.NewReader(resp.Body).ReadAll()
+	br, err := kvio.NewBlockReader(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Release()
+	pairs, err := br.ReadAll()
 	if err != nil || len(pairs) != 1 || string(pairs[0].Key) != "k" {
 		t.Errorf("served pairs %v, err %v", pairs, err)
 	}

@@ -2,8 +2,7 @@
 // used by the intermediate-data plane. It is the compression analogue
 // of internal/codec's key/value serializer registry: every codec has a
 // wire name that travels inside record-block headers and in the HTTP
-// negotiation headers, so any node can decode data it did not produce
-// and mixed-version fleets degrade to identity instead of failing.
+// negotiation headers, so any node can decode data it did not produce.
 //
 // Three codecs are always registered:
 //
@@ -13,10 +12,10 @@
 //	          than deflate at a worse ratio — the right trade for
 //	          shuffle data that is written once and read once
 //
-// Negotiation is Accept-Encoding-shaped: a client advertises the codec
-// names it can decode (AcceptHeader), the server picks the best mutual
-// one (Negotiate), and names neither side knows resolve to identity, so
-// a fleet mixing versions keeps working at the cost of compression.
+// Negotiation: a client advertises the codec names it can decode
+// (AcceptHeader), the server picks the best mutual one (Negotiate), and
+// names neither side knows resolve to identity, which every reader
+// decodes.
 package wirecodec
 
 import (
@@ -44,10 +43,6 @@ type Codec interface {
 	// pooled state; it does not close src.
 	NewReader(src io.Reader) io.ReadCloser
 }
-
-// AppendOption is implemented by codecs whose compressed frames can be
-// concatenated (every built-in codec qualifies); kept as an interface
-// hook for future codecs with stream trailers.
 
 // ---------------------------------------------------------------------------
 // Identity codec
@@ -146,11 +141,9 @@ func Names() []string {
 // ---------------------------------------------------------------------------
 // Negotiation
 
-// CodecHeader is the response header naming the codec a block-framed
-// HTTP body was served with, and RequestHeader is the request header a
-// block-capable client uses to advertise the codecs it decodes. These
-// are distinct from Accept-/Content-Encoding, which carry the legacy
-// whole-stream deflate negotiation for pre-block peers.
+// CodecHeader is the response header naming the codec a bucket's
+// blocks were served with, and RequestHeader is the request header a
+// client uses to advertise the codecs it decodes.
 const (
 	RequestHeader = "X-Mrs-Accept-Codec"
 	CodecHeader   = "X-Mrs-Codec"
@@ -180,8 +173,7 @@ func ParseAccept(header string) []string {
 // Negotiate picks the best mutual codec: the earliest name in the
 // server's preference order that the client also advertised. Names the
 // registry does not know are skipped, and a client list with no mutual
-// codec resolves to identity — the fallback that keeps mixed-version
-// fleets exchanging data.
+// codec resolves to identity.
 func Negotiate(accepted []string) Codec {
 	set := make(map[string]bool, len(accepted))
 	for _, name := range accepted {
@@ -207,47 +199,14 @@ func Accepts(accepted []string, name string) bool {
 	return false
 }
 
-// ---------------------------------------------------------------------------
-// Block-kind negotiation
-//
-// Orthogonal to the codec axis: a block stream's blocks are either
-// row-framed or columnar (see internal/kvio). Columnar frames poison
-// pre-columnar block readers, so a client advertises the kinds it can
-// decode and a server holding columnar data transcodes down to row
-// blocks for peers that never sent the header.
+// BlockEncHeader is the response header naming the block kind of the
+// served bucket (BlockKindRow or BlockKindColumnar), for the client's
+// per-block-kind wire counters. Every reader decodes both kinds, so the
+// kind is never negotiated.
+const BlockEncHeader = "X-Mrs-Block-Encoding"
 
-// BlockAcceptHeader is the request header advertising the block kinds
-// the client decodes; BlockEncHeader is the response header naming the
-// kind actually served. An absent BlockAcceptHeader means the peer
-// predates columnar frames and must be served row blocks only.
-const (
-	BlockAcceptHeader = "X-Mrs-Accept-Block"
-	BlockEncHeader    = "X-Mrs-Block-Encoding"
-)
-
-// Block kind names carried in the block negotiation headers.
+// Block kind names carried in BlockEncHeader.
 const (
 	BlockKindRow      = "row"
 	BlockKindColumnar = "columnar"
 )
-
-// AcceptBlocksHeader renders the client's block-kind advertisement.
-func AcceptBlocksHeader() string {
-	return BlockKindRow + "," + BlockKindColumnar
-}
-
-// AcceptsBlock reports whether the BlockAcceptHeader value header
-// admits the given block kind. The empty header — a pre-columnar peer —
-// admits only row blocks.
-func AcceptsBlock(header, kind string) bool {
-	if header == "" {
-		return kind == BlockKindRow
-	}
-	for _, part := range strings.Split(header, ",") {
-		name, _, _ := strings.Cut(part, ";")
-		if strings.TrimSpace(name) == kind {
-			return true
-		}
-	}
-	return false
-}

@@ -140,25 +140,22 @@ type Options struct {
 	// the default width; 1 restores sequential streaming (ablation).
 	// Output is byte-identical at any width.
 	Prefetch int
-	// Compress writes intermediate buckets flate-compressed, and the
-	// data servers send the compressed bytes to peers that accept them
-	// (wire compression). Output is byte-identical either way.
+	// Compress deflates intermediate buckets' blocks when Codec is
+	// empty (Codec wins when set). Output is byte-identical either way.
 	Compress bool
-	// Codec selects the compression codec intermediate buckets are
-	// written with in the block-framed data plane ("identity",
-	// "deflate", "lz"; "" keeps the legacy per-record framing). Data
-	// servers negotiate per request, so nodes running different codecs
-	// — or none — interoperate, and output is byte-identical under
-	// every setting. Wins over Compress when both are set.
+	// Codec selects the compression codec intermediate buckets' blocks
+	// are written with ("identity", "deflate", "lz"; "" = identity, or
+	// deflate under Compress). Data servers negotiate the codec per
+	// request, so nodes running different codecs interoperate, and
+	// output is byte-identical under every setting.
 	Codec string
 	// BlockEncoding selects the block encoding intermediate buckets
 	// are written with: "row" (the default record-block layout) or
 	// "columnar" / "columnar-raw" / "columnar-dict" / "columnar-delta"
 	// (key and value columns stored separately, with the named key
 	// encoding; plain "columnar" picks the key encoding per block).
-	// Data servers negotiate per request and transcode for peers that
-	// only read row blocks, so mixed-version fleets interoperate and
-	// output is byte-identical under every setting.
+	// Every reader decodes both kinds, and output is byte-identical
+	// under every setting.
 	BlockEncoding string
 	// BlockSize overrides the record-block flush threshold in bytes
 	// (0 = default, 64 KiB). Larger blocks compress better; smaller
@@ -224,52 +221,17 @@ func Run(p Program, opts Options) error {
 		return b.Bypass()
 
 	case "serial":
-		exec := core.NewSerial(reg)
-		exec.SetObserver(rt)
-		exec.SetResidentBudget(opts.ResidentBudget)
-		exec.SetPrefetch(opts.Prefetch)
-		exec.SetCompress(opts.Compress)
-		if err := exec.SetCodec(opts.Codec); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
-		if err := exec.SetBlockEncoding(opts.BlockEncoding); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
-		exec.SetBlockSize(opts.BlockSize)
-		return runWithExecutor(p, exec, opts, rt)
+		return runLocal(p, core.NewSerial(reg), opts, rt)
 
 	case "mock":
 		exec, err := core.NewMockParallel(reg, opts.MockDir)
 		if err != nil {
 			return err
 		}
-		exec.SetObserver(rt)
-		exec.SetResidentBudget(opts.ResidentBudget)
-		exec.SetPrefetch(opts.Prefetch)
-		exec.SetCompress(opts.Compress)
-		if err := exec.SetCodec(opts.Codec); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
-		if err := exec.SetBlockEncoding(opts.BlockEncoding); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
-		exec.SetBlockSize(opts.BlockSize)
-		return runWithExecutor(p, exec, opts, rt)
+		return runLocal(p, exec, opts, rt)
 
 	case "threads":
-		exec := core.NewThreads(reg, opts.Workers)
-		exec.SetObserver(rt)
-		exec.SetResidentBudget(opts.ResidentBudget)
-		exec.SetPrefetch(opts.Prefetch)
-		exec.SetCompress(opts.Compress)
-		if err := exec.SetCodec(opts.Codec); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
-		if err := exec.SetBlockEncoding(opts.BlockEncoding); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
-		exec.SetBlockSize(opts.BlockSize)
-		return runWithExecutor(p, exec, opts, rt)
+		return runLocal(p, core.NewThreads(reg, opts.Workers), opts, rt)
 
 	case "local":
 		c, err := cluster.Start(reg, cluster.Options{
@@ -358,9 +320,21 @@ func Run(p Program, opts Options) error {
 	return fmt.Errorf("mrs: unknown implementation %q", opts.Implementation)
 }
 
-// runWithExecutor owns the executor's lifetime.
-func runWithExecutor(p Program, exec core.Executor, opts Options, rt *obs.Runtime) error {
+// runLocal applies the options to a single-process executor and runs
+// the program on it, owning the executor's lifetime.
+func runLocal(p Program, exec *core.LocalExecutor, opts Options, rt *obs.Runtime) error {
 	defer exec.Close()
+	exec.SetObserver(rt)
+	exec.SetResidentBudget(opts.ResidentBudget)
+	exec.SetPrefetch(opts.Prefetch)
+	exec.SetCompress(opts.Compress)
+	if err := exec.SetCodec(opts.Codec); err != nil {
+		return fmt.Errorf("mrs: %w", err)
+	}
+	if err := exec.SetBlockEncoding(opts.BlockEncoding); err != nil {
+		return fmt.Errorf("mrs: %w", err)
+	}
+	exec.SetBlockSize(opts.BlockSize)
 	return runJob(p, exec, opts, rt)
 }
 

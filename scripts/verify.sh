@@ -41,16 +41,18 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=2 \
 		-run 'ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression' \
 		./internal/cluster
-	echo "== tier 2: block data-plane stress (race, non-default codecs, negotiation, cross-mode)"
+	echo "== tier 2: block data-plane stress (race, non-default codecs, negotiation, cross-mode, one-format invariant)"
 	go test -race -count=2 \
-		-run 'CodecGrid|CodecSerialMatchesCluster|AddBlock|BlockBucket|Negotiation|TranscodeBetween' \
+		-run 'CodecGrid|CodecSerialMatchesCluster|AddBlock|BlockBucket|Negotiation|TranscodeBetween|EveryBucketIsABlockStream|ClassifiedByBaseName' \
 		./internal/cluster ./internal/bucket ./internal/shuffle
-	echo "== tier 2: columnar data-plane stress (race, key encodings, transcode, row-only fallback)"
+	echo "== tier 2: columnar data-plane stress (race, key encodings, transcode)"
 	go test -race -count=2 \
-		-run 'Columnar|BlockEncoding|AcceptsBlock|BlockMagicIsLegacyPoison' \
+		-run 'Columnar|BlockEncoding|BlockMagicIsLegacyPoison' \
 		./internal/kvio ./internal/shuffle ./internal/bucket ./internal/wirecodec
 	echo "== tier 2: block framing fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzBlockReader' -fuzztime 10s ./internal/kvio
+	echo "== tier 2: bucket server edge fuzz (codec advertisements x at-rest bytes, corpus + 10s)"
+	go test -run '^$' -fuzz '^FuzzServeData$' -fuzztime 10s ./internal/bucket
 	echo "== tier 2: XML-RPC decoder differential fuzz against encoding/xml (corpus + 10s each)"
 	go test -run '^$' -fuzz '^FuzzUnmarshalCall$' -fuzztime 10s ./internal/xmlrpc
 	go test -run '^$' -fuzz '^FuzzUnmarshalResponse$' -fuzztime 10s ./internal/xmlrpc
@@ -60,7 +62,7 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock' \
 		-benchmem -benchtime 1000x ./internal/kvio/
 	go test -run '^$' -bench 'BenchmarkUnmarshal' -benchmem -benchtime 1000x ./internal/xmlrpc/
-	go test -run '^$' -bench 'BenchmarkFetchMem' -benchmem -benchtime 1000x ./internal/bucket/)"
+	go test -run '^$' -bench 'BenchmarkFetchMem|BenchmarkCreateSmallBucket' -benchmem -benchtime 1000x ./internal/bucket/)"
 	echo "$bench"
 	echo "$bench" | awk '
 		NR == FNR { if ($0 !~ /^#/ && NF == 2) limit[$1] = $2; next }
